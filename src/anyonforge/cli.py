@@ -32,16 +32,13 @@ from .files import (assembled_braid_payload, braid_payload, canonical_dumps,
                     result_from_payload, write_braid_file, write_curve_csv)
 from .model import AnyonModel, ConsistencyError, DEFAULT_TOLERANCE
 from .spaces import enumerate_basis
-from .synth import (SearchConfig, make_target_B1, make_target_B3,
-                    make_target_E, make_target_P, make_target_unitary,
+from .synth import (BUILTIN_TARGETS, SearchConfig, make_target_unitary,
                     score_braid, search, verify_braid_relations)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_NOT_CONVERGED = 3
-
-_BUILTIN_TARGETS = ("P", "B1", "B3", "E")
 
 
 class UsageError(ValueError):
@@ -86,9 +83,6 @@ class JobConfig:
     direction: str | None = None
     components: tuple[Path, ...] = ()
     debug_corrupt: bool = False
-    # Reserved for future randomized strategies; the search is deterministic
-    # and never reads it.
-    seed: int | None = None
 
     def __post_init__(self):
         if self.k is not None and self.k < 2:
@@ -223,10 +217,8 @@ def cmd_synth(config: JobConfig) -> int:
     model = config.model()
     if config.target is None:
         raise UsageError("--target is required (P, B1, B3, E, or a unitary file)")
-    if config.target in _BUILTIN_TARGETS:
-        factory = {"P": make_target_P, "B1": make_target_B1,
-                   "B3": make_target_B3, "E": make_target_E}[config.target]
-        target = factory(model)
+    if config.target in BUILTIN_TARGETS:
+        target = BUILTIN_TARGETS[config.target](model)
     else:
         target = _load_unitary_target(model, Path(config.target))
     search_config = SearchConfig(
@@ -373,8 +365,6 @@ def _build_parser() -> _Parser:
                        help="stdout format (default text)")
         p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
                        help="matrix tolerance (default 1e-9)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; the search is deterministic")
 
     p_model = sub.add_parser("model", help="charges, fusion table, dimensions")
     common(p_model)
@@ -438,7 +428,6 @@ def _job_config(ns: argparse.Namespace) -> JobConfig:
         direction=getattr(ns, "direction", None),
         components=tuple(getattr(ns, "components", ()) or ()),
         debug_corrupt=getattr(ns, "debug_corrupt", False),
-        seed=ns.seed,
     )
 
 

@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .model import AnyonModel
-from .synth import (BraidWord, MatrixRule, SearchStats, SynthesisResult,
-                    SynthesisTarget, make_target_B1, make_target_B3,
-                    make_target_E, make_target_P, make_target_unitary)
+from .synth import (BUILTIN_TARGETS, BraidWord, MatrixRule, SearchStats,
+                    SynthesisResult, SynthesisTarget, make_target_unitary)
 
 __all__ = [
     "canonical_dumps",
@@ -138,21 +137,13 @@ def read_braid_file(path) -> dict:
     return payload
 
 
-_FACTORIES = {
-    "P": make_target_P,
-    "B1": make_target_B1,
-    "B3": make_target_B3,
-    "E": make_target_E,
-}
-
-
 def target_from_payload(model: AnyonModel, payload: dict) -> SynthesisTarget:
     """Rebuild the synthesis target a braid file was produced against."""
     name = payload["target"]
     leaves = tuple(payload["leaves"])
     charges = (leaves[0], leaves[1])
-    if name in _FACTORIES:
-        target = _FACTORIES[name](model, charges)
+    if name in BUILTIN_TARGETS:
+        target = BUILTIN_TARGETS[name](model, charges)
     elif "target_matrix" in payload:
         coarse = np.array([[complex(re, im) for re, im in row]
                            for row in payload["target_matrix"]])

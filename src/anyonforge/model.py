@@ -31,20 +31,15 @@ and hexagon identities by ``verify_pentagon`` / ``verify_hexagon``.
 
 from __future__ import annotations
 
-import gzip
-import json
+import itertools
 import math
-import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_TOLERANCE",
     "DEFAULT_PHASE_TOLERANCE",
-    "CACHE_ENV_VAR",
     "ConsistencyError",
     "FMatrix",
     "SymbolCache",
@@ -54,9 +49,6 @@ __all__ = [
 # Default tolerances: consistency identities vs. exact-phase checks.
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_PHASE_TOLERANCE = 1e-12
-
-CACHE_ENV_VAR = "ANYONFORGE_CACHE_DIR"
-_CACHE_FORMAT = 1
 
 
 class ConsistencyError(Exception):
@@ -85,88 +77,62 @@ class FMatrix:
 
 
 class SymbolCache:
-    """Memoized F and R symbols for one level k.
+    """One level's symbol table and everything derived from it.
 
-    Built lazily; optionally persisted under $ANYONFORGE_CACHE_DIR (one
-    gzipped JSON file per level, versioned, safe to delete at any time).
+    Holds the memoized F and R symbols, the fusion bases built by
+    ``spaces.enumerate_basis`` and the braid generators built from the
+    symbols by ``spaces.braid_generator``.  All clean models of one level
+    share one table; a model whose F symbols are damaged works on a private
+    copy (see ``AnyonModel.corrupt_f_symbol``).
     """
 
     def __init__(self, k: int):
         self.k = k
         self.f_symbols: dict[tuple[int, int, int, int], FMatrix] = {}
         self.r_symbols: dict[tuple[int, int, int], complex] = {}
+        self.bases: dict = {}
+        self.generators: dict = {}
 
-    def corrupt_entry(self, a: int, b: int, c: int, d: int, delta: float = 1e-2) -> None:
-        """Deliberately damage one cached F block (diagnostic aid).
 
-        Used by the ``check --debug-corrupt`` path and the negative-control
-        tests: a corrupted entry must make the pentagon residual blow up.
-        """
-        block = self.f_symbols[(a, b, c, d)]
-        damaged = block.matrix.copy()
-        damaged[0, 0] += delta
-        self.f_symbols[(a, b, c, d)] = FMatrix(block.rows, block.cols, damaged)
+# The clean table of each level, shared by every clean model of that level.
+_CLEAN_TABLES: dict[int, SymbolCache] = {}
 
-    # -- persistence ----------------------------------------------------
 
-    def _cache_path(self) -> Path | None:
-        root = os.environ.get(CACHE_ENV_VAR)
-        if not root:
-            return None
-        return Path(root) / f"su2k-{self.k}-v{_CACHE_FORMAT}.json.gz"
+def _fan_out(k: int, columns: list, p, q) -> list:
+    """Repeat each row of the label arrays ``columns`` once per fusion
+    channel of p x q (arrays over the rows, or scalars) and append that
+    channel as a new column: a vectorized ``AnyonModel.fuse``."""
+    size = len(columns[0])
+    lo = np.zeros(size, dtype=np.int64) + np.abs(p - q)
+    count = (np.minimum(p + q, 2 * k - p - q) - lo) // 2 + 1
+    row = np.repeat(np.arange(size), count)
+    step = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    return [col[row] for col in columns] + [lo[row] + 2 * step]
 
-    def save(self) -> None:
-        path = self._cache_path()
-        if path is None:
-            return
-        payload = {
-            "format": _CACHE_FORMAT,
-            "k": self.k,
-            "f": {
-                ",".join(map(str, key)): {
-                    "rows": list(block.rows),
-                    "cols": list(block.cols),
-                    "matrix": [[float(x) for x in row] for row in block.matrix],
-                }
-                for key, block in sorted(self.f_symbols.items())
-            },
-            "r": {
-                ",".join(map(str, key)): [value.real, value.imag]
-                for key, value in sorted(self.r_symbols.items())
-            },
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(gzip.compress(json.dumps(payload).encode()))
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
 
-    def load(self) -> bool:
-        path = self._cache_path()
-        if path is None or not path.exists():
-            return False
-        try:
-            payload = json.loads(gzip.decompress(path.read_bytes()))
-        except (OSError, ValueError):
-            return False
-        if payload.get("format") != _CACHE_FORMAT or payload.get("k") != self.k:
-            return False
-        for key, block in payload["f"].items():
-            a, b, c, d = map(int, key.split(","))
-            matrix = np.array(block["matrix"], dtype=np.float64)
-            matrix.setflags(write=False)
-            self.f_symbols[(a, b, c, d)] = FMatrix(
-                tuple(block["rows"]), tuple(block["cols"]), matrix
-            )
-        for key, (re, im) in payload["r"].items():
-            a, b, c = map(int, key.split(","))
-            self.r_symbols[(a, b, c)] = complex(re, im)
-        return True
+def _admissible(k: int, a, b, c):
+    """Vectorized ``AnyonModel.can_fuse``."""
+    return ((a + b + c) % 2 == 0) & (np.abs(a - b) <= c) & (c <= a + b) \
+        & (a + b + c <= 2 * k)
+
+
+class _SparseTable:
+    """Vectorized reads of a {label tuple: value} table; absent tuples
+    read 0.  Memory grows with the entries, not with (k+1)**len(labels)."""
+
+    def __init__(self, k: int, entries: dict):
+        labels = np.array(list(entries)).T
+        self.dims = (k + 1,) * len(labels)
+        keys = np.ravel_multi_index(labels, self.dims)
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        self.values = np.append(np.array(list(entries.values()))[order], 0)
+
+    def __call__(self, *labels):
+        key = np.ravel_multi_index(labels, self.dims)
+        pos = np.searchsorted(self.keys, key)
+        pos[self.keys.take(pos, mode="clip") != key] = len(self.keys)
+        return self.values[pos]
 
 
 class AnyonModel:
@@ -178,8 +144,7 @@ class AnyonModel:
         if k < 2:
             raise ValueError(f"level must be an integer >= 2, got {k}")
         self.k = int(k)
-        self.symbols = SymbolCache(self.k)
-        self.symbols.load()
+        self.symbols = _CLEAN_TABLES.setdefault(self.k, SymbolCache(self.k))
         # q-integers [n] for n = 0 .. 2k+2, with exact zeros at n = 0 mod k+2
         # so that level-truncated Racah terms vanish identically.
         denom = math.sin(math.pi / (self.k + 2))
@@ -190,7 +155,6 @@ class AnyonModel:
         self._qfact = [1.0]
         for n in range(1, len(self._qint)):
             self._qfact.append(self._qfact[-1] * self._qint[n])
-        self._fbig: np.ndarray | None = None
 
     # -- identity -------------------------------------------------------
 
@@ -327,48 +291,43 @@ class AnyonModel:
         return value
 
     def corrupt_f_symbol(self, a: int, b: int, c: int, d: int, delta: float = 1e-2) -> None:
-        """Damage one F block and drop derived tables (diagnostic aid)."""
-        self.f_symbol(a, b, c, d)
-        self.symbols.corrupt_entry(a, b, c, d, delta)
-        self._fbig = None
+        """Damage one F block (diagnostic aid).
 
-    # -- bulk tables -------------------------------------------------------
+        Used by the ``check --debug-corrupt`` path and the negative-control
+        tests: a corrupted entry must make the pentagon residual blow up.
+        The model first moves onto a private copy of its symbol table (F and
+        R symbols copied, no derived generators), so the shared clean table
+        of this level, and every other model, stay untouched.
+        """
+        block = self.f_symbol(a, b, c, d)
+        table = SymbolCache(self.k)
+        table.f_symbols = dict(self.symbols.f_symbols)
+        table.r_symbols = dict(self.symbols.r_symbols)
+        damaged = block.matrix.copy()
+        damaged[0, 0] += delta
+        damaged.setflags(write=False)
+        table.f_symbols[(a, b, c, d)] = FMatrix(block.rows, block.cols, damaged)
+        self.symbols = table
 
     def precompute(self) -> None:
-        """Build every F and R symbol, then persist if a cache dir is set."""
-        self._f_table()
-        for a in self.charges:
-            for b in self.charges:
-                for c in self.fuse(a, b):
-                    self.r_symbol(a, b, c)
-        self.symbols.save()
-
-    def _f_table(self) -> np.ndarray:
-        """Dense zero-padded table T[a,b,c,d,e,f] of F coefficients."""
-        if self._fbig is not None:
-            return self._fbig
-        n = self.k + 1
-        table = np.zeros((n, n, n, n, n, n), dtype=np.float64)
+        """Build every F and R symbol of this level into the symbol table."""
         for a in self.charges:
             for b in self.charges:
                 for e in self.fuse(a, b):
+                    self.r_symbol(a, b, e)
                     for c in self.charges:
                         for d in self.fuse(e, c):
-                            block = self.f_symbol(a, b, c, d)
-                            for i, ee in enumerate(block.rows):
-                                for j, ff in enumerate(block.cols):
-                                    table[a, b, c, d, ee, ff] = block.matrix[i, j]
-        self._fbig = table
-        return table
+                            self.f_symbol(a, b, c, d)
 
-    def _r_table(self) -> np.ndarray:
-        n = self.k + 1
-        table = np.zeros((n, n, n), dtype=np.complex128)
-        for a in self.charges:
-            for b in self.charges:
-                for c in self.fuse(a, b):
-                    table[a, b, c] = self.r_symbol(a, b, c)
-        return table
+    def _f_entries(self) -> _SparseTable:
+        """Every F coefficient, read as F(a, b, c, d, e, f) -> F(a,b,c,d)[e,f]."""
+        self.precompute()
+        return _SparseTable(self.k, {
+            (a, b, c, d, e, f): block.matrix[i, j]
+            for (a, b, c, d), block in self.symbols.f_symbols.items()
+            for i, e in enumerate(block.rows)
+            for j, f in enumerate(block.cols)
+        })
 
     # -- consistency checks -------------------------------------------------
 
@@ -382,16 +341,24 @@ class AnyonModel:
 
         If ``tolerance`` is given and exceeded, raises ConsistencyError.
         """
-        table = self._f_table()
+        F = self._f_entries()
+        k = self.k
         worst = 0.0
-        for a in self.charges:
-            for b in self.charges:
-                ab = table[a, b]
-                lhs = np.einsum("xcdtyz,ztxu->cdtxyzu", table, ab, optimize=True)
-                rhs = np.einsum(
-                    "cyxw,wdtyu,cduwz->cdtxyzu", ab, table[a], table[b], optimize=True
-                )
-                worst = max(worst, float(np.abs(lhs - rhs).max()))
+        # Either side can be nonzero only where both end trees
+        # (((ab)^x c)^y d)^t and (a (b (cd)^z)^u)^t are admissible; one
+        # (a, b, c) triple at a time keeps the arrays small at large k.
+        for a, b, c in itertools.product(self.charges, repeat=3):
+            d, x = _fan_out(k, [np.arange(k + 1)], a, b)
+            d, x, y = _fan_out(k, [d, x], x, c)
+            d, x, y, t = _fan_out(k, [d, x, y], y, d)
+            d, x, y, t, z = _fan_out(k, [d, x, y, t], c, d)
+            d, x, y, t, z, u = _fan_out(k, [d, x, y, t, z], b, z)
+            keep = _admissible(k, a, u, t)
+            d, x, y, t, z, u = (v[keep] for v in (d, x, y, t, z, u))
+            lhs = F(x, c, d, t, y, z) * F(a, b, z, t, x, u)
+            rhs = sum(F(a, b, c, y, x, w) * F(a, w, d, t, y, u) * F(b, c, d, u, w, z)
+                      for w in self.fuse(b, c))
+            worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
         if tolerance is not None and worst > tolerance:
             raise ConsistencyError(f"pentagon residual {worst:.3e} > {tolerance:.3e}")
         return worst
@@ -406,13 +373,24 @@ class AnyonModel:
 
         and the same with every r conjugated (clockwise exchange).
         """
-        ftab = self._f_table().astype(np.complex128)
-        rtab = self._r_table()
+        F = self._f_entries()
+        R = _SparseTable(self.k, self.symbols.r_symbols)
+        k = self.k
         worst = 0.0
-        for rr in (rtab, np.conj(rtab)):
-            lhs = np.einsum("cae,acbdeg,cbg->abcdeg", rr, ftab, rr, optimize=True)
-            rhs = np.einsum("cabdef,cfd,abcdfg->abcdeg", ftab, rr, ftab, optimize=True)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+        # Either side can be nonzero only where (a c)^e b -> d and
+        # a (b c)^g -> d are admissible.
+        for a, b in itertools.product(self.charges, repeat=2):
+            c = np.arange(k + 1)
+            c, e = _fan_out(k, [c], a, c)
+            c, e, d = _fan_out(k, [c, e], e, b)
+            c, e, d, g = _fan_out(k, [c, e, d], b, c)
+            keep = _admissible(k, a, g, d)
+            c, e, d, g = (v[keep] for v in (c, e, d, g))
+            for phase in (np.asarray, np.conj):
+                lhs = phase(R(c, a, e)) * F(a, c, b, d, e, g) * phase(R(c, b, g))
+                rhs = sum(F(c, a, b, d, e, f) * phase(R(c, f, d)) * F(a, b, c, d, f, g)
+                          for f in self.fuse(a, b))
+                worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
         if tolerance is not None and worst > tolerance:
             raise ConsistencyError(f"hexagon residual {worst:.3e} > {tolerance:.3e}")
         return worst

@@ -20,8 +20,8 @@ blocks, agrees with the elementary generator of the coarse system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -73,10 +73,14 @@ class FusionBasis:
     def dim(self) -> int:
         return len(self.trees)
 
+    @cached_property
+    def _positions(self) -> dict[FusionTree, int]:
+        return {tree: i for i, tree in enumerate(self.trees)}
+
     def index(self, tree: FusionTree) -> int:
         try:
-            return self.trees.index(tree)
-        except ValueError:
+            return self._positions[tree]
+        except KeyError:
             raise KeyError(f"tree {tree} not in basis") from None
 
 
@@ -108,7 +112,7 @@ def enumerate_basis(model: AnyonModel, leaves: tuple[int, ...], total: int) -> F
     if not leaves:
         raise ValueError("at least one leaf required")
     key = (leaves, total)
-    cache = _basis_cache.setdefault(model.k, {})
+    cache = model.symbols.bases
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -130,10 +134,6 @@ def enumerate_basis(model: AnyonModel, leaves: tuple[int, ...], total: int) -> F
     return basis
 
 
-_basis_cache: dict[int, dict] = {}
-_generator_cache: dict[int, dict] = {}
-
-
 def swap_leaves(leaves: tuple[int, ...], position: int) -> tuple[int, ...]:
     """Leaf ordering after exchanging strands at 1-based ``position``."""
     i = position - 1
@@ -153,7 +153,7 @@ def braid_generator(model: AnyonModel, basis: FusionBasis, position: int) -> np.
     if not 1 <= position < len(basis.leaves):
         raise ValueError(f"position {position} outside 1..{len(basis.leaves) - 1}")
     key = (basis.leaves, basis.total, position)
-    cache = _generator_cache.setdefault(model.k, {})
+    cache = model.symbols.generators
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -254,10 +254,14 @@ class GroupedBasis:
     def dim(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def _positions(self) -> dict[GroupedLabel, int]:
+        return {label: i for i, label in enumerate(self.labels)}
+
     def index(self, label: GroupedLabel) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise KeyError(f"label {label} not in basis") from None
 
     def sectors(self) -> dict[tuple[int, ...], tuple[int, ...]]:

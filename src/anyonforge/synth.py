@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import EncodingError, multi_qubit_code, single_qubit_code
-from .model import AnyonModel
+from .model import AnyonModel, ConsistencyError
 from .spaces import (
     Grouping,
     braid_generator,
@@ -61,6 +61,7 @@ __all__ = [
     "make_target_B3",
     "make_target_E",
     "make_target_unitary",
+    "BUILTIN_TARGETS",
     "search",
 ]
 
@@ -467,6 +468,15 @@ def make_target_E(model: AnyonModel, charges: tuple[int, int] = (1, 1),
         final_arrangement=(0, 2, 1, 3), rules=rules)
 
 
+# Target factories of the paper's gate set, by the id braid files store.
+BUILTIN_TARGETS = {
+    "P": make_target_P,
+    "B1": make_target_B1,
+    "B3": make_target_B3,
+    "E": make_target_E,
+}
+
+
 def make_target_unitary(model: AnyonModel, matrix: np.ndarray,
                         charges: tuple[int, int] = (1, 1),
                         name: str = "U") -> SynthesisTarget:
@@ -835,7 +845,7 @@ def _finish(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
     full_state = tuple(_flat(coarse[s]) for s in problem.sectors)
     full_score = problem.score(full_state)
     if abs(full_score - incremental) > 1e-12:
-        raise RuntimeError(
+        raise ConsistencyError(
             f"coarse tracking ({incremental}) and full-space evaluation "
             f"({full_score}) disagree")
 
@@ -909,7 +919,7 @@ def _coarse_from_full(model: AnyonModel, target: SynthesisTarget,
             if matrix is None:
                 matrix = block
             elif not np.allclose(matrix, block, atol=1e-10):
-                raise RuntimeError(
+                raise ConsistencyError(
                     f"sector {sector}: braid action varies across internal trees")
         out[sector] = matrix
     return out

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from anyonforge import synth
 from anyonforge.cli import main
 
 
@@ -54,6 +55,15 @@ def test_check_clean(capsys):
 def test_check_detects_corruption(capsys):
     code, _, _ = run(capsys, "check", "--k", "2", "--debug-corrupt")
     assert code == 2
+
+
+def test_corrupt_check_does_not_reuse_clean_generators(capsys):
+    assert run(capsys, "check", "--k", "4")[0] == 0
+    code, out, _ = run(capsys, "check", "--k", "4", "--debug-corrupt",
+                       "--format", "json")
+    assert code == 2
+    report = json.loads(out)
+    assert report["braid_relation_residual"] > report["tolerance"]
 
 
 # --- basis ------------------------------------------------------------------
@@ -118,6 +128,20 @@ def test_verify_rejects_tampering(capsys, tmp_path):
     payload["distance"] = payload["distance"] * 0.5
     out.write_text(json.dumps(payload))
     assert run(capsys, "verify", str(out))[0] == 2
+
+
+def test_dual_route_mismatch_exits_2(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "p.json"
+    run(capsys, "synth", "--k", "2", "--target", "P", "--max-length", "4",
+        "--out", str(out))
+    replay = synth._replay
+    # The incremental route drops the last letter; the full-space route
+    # does not, so the two disagree.
+    monkeypatch.setattr(synth, "_replay",
+                        lambda problem, letters: replay(problem, letters[:-1]))
+    code, _, err = run(capsys, "verify", str(out))
+    assert code == 2
+    assert "disagree" in err
 
 
 def test_synth_deterministic_across_workers(capsys, tmp_path):

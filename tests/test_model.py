@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonforge import AnyonModel, ConsistencyError
+from anyonforge import (AnyonModel, ConsistencyError, braid_generator,
+                        enumerate_basis)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -152,13 +153,89 @@ def test_corruption_is_detected():
         model.verify_pentagon(tolerance=1e-9)
 
 
-def test_symbol_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("ANYONFORGE_CACHE_DIR", str(tmp_path))
-    first = AnyonModel(3)
-    first.precompute()
-    assert any(tmp_path.iterdir()), "precompute should persist symbols"
-    second = AnyonModel(3)
-    for args in ((1, 1, 1, 1), (1, 2, 1, 2), (2, 2, 2, 2)):
-        assert np.array_equal(first.f_symbol(*args).matrix,
-                              second.f_symbol(*args).matrix)
-    assert second.verify_pentagon() < 1e-12
+def _dense_residuals(model):
+    """Test-only oracle: the pentagon and hexagon residuals from dense
+    zero-padded (k+1)^6 F and (k+1)^3 R tables contracted with einsum."""
+    n = model.k + 1
+    ftab = np.zeros((n,) * 6)
+    for a in model.charges:
+        for b in model.charges:
+            for e in model.fuse(a, b):
+                for c in model.charges:
+                    for d in model.fuse(e, c):
+                        block = model.f_symbol(a, b, c, d)
+                        for i, ee in enumerate(block.rows):
+                            for j, ff in enumerate(block.cols):
+                                ftab[a, b, c, d, ee, ff] = block.matrix[i, j]
+    rtab = np.zeros((n,) * 3, dtype=np.complex128)
+    for a in model.charges:
+        for b in model.charges:
+            for c in model.fuse(a, b):
+                rtab[a, b, c] = model.r_symbol(a, b, c)
+    pentagon = 0.0
+    for a in model.charges:
+        for b in model.charges:
+            ab = ftab[a, b]
+            lhs = np.einsum("xcdtyz,ztxu->cdtxyzu", ftab, ab, optimize=True)
+            rhs = np.einsum("cyxw,wdtyu,cduwz->cdtxyzu", ab, ftab[a], ftab[b],
+                            optimize=True)
+            pentagon = max(pentagon, float(np.abs(lhs - rhs).max()))
+    hexagon = 0.0
+    for rr in (rtab, np.conj(rtab)):
+        lhs = np.einsum("cae,acbdeg,cbg->abcdeg", rr, ftab, rr, optimize=True)
+        rhs = np.einsum("cabdef,cfd,abcdfg->abcdeg", ftab, rr, ftab, optimize=True)
+        hexagon = max(hexagon, float(np.abs(lhs - rhs).max()))
+    return pentagon, hexagon
+
+
+@pytest.mark.parametrize("k, damaged", [
+    (2, ()), (3, ()), (4, ()), (5, ()),
+    (3, ((1, 1, 1, 1),)),
+    (4, ((1, 2, 1, 2),)),
+    (5, ((2, 2, 2, 2),)),
+    (5, ((1, 1, 1, 1), (1, 2, 1, 2), (2, 3, 3, 2))),
+])
+def test_sparse_checks_match_dense_oracle(k, damaged):
+    model = AnyonModel(k)
+    for block in damaged:
+        model.corrupt_f_symbol(*block)
+    pentagon, hexagon = _dense_residuals(model)
+    if damaged:
+        assert pentagon > 1e-4
+    assert abs(model.verify_pentagon() - pentagon) <= 1e-14
+    assert abs(model.verify_hexagon() - hexagon) <= 1e-14
+
+
+def test_precompute_fills_the_shared_table():
+    AnyonModel(6).precompute()
+    fresh = AnyonModel(6)
+    blocks = {(a, b, c, d) for a in fresh.charges for b in fresh.charges
+              for e in fresh.fuse(a, b) for c in fresh.charges
+              for d in fresh.fuse(e, c)}
+    phases = {(a, b, c) for a in fresh.charges for b in fresh.charges
+              for c in fresh.fuse(a, b)}
+    assert set(fresh.symbols.f_symbols) == blocks
+    assert set(fresh.symbols.r_symbols) == phases
+    assert fresh.f_symbol(2, 2, 2, 2) is fresh.symbols.f_symbols[(2, 2, 2, 2)]
+
+
+def _sigma2_defect(model):
+    basis = enumerate_basis(model, (1, 1, 1, 1), 0)
+    G = braid_generator(model, basis, 2)
+    return float(np.abs(G.conj().T @ G - np.eye(basis.dim)).max())
+
+
+def test_corruption_does_not_leak_into_fresh_models():
+    broken = AnyonModel(3)
+    broken.corrupt_f_symbol(1, 1, 1, 1)
+    assert _sigma2_defect(broken) > 1e-3
+    assert _sigma2_defect(AnyonModel(3)) < 1e-12
+
+
+def test_corrupted_models_do_not_share_a_table():
+    first, second = AnyonModel(3), AnyonModel(3)
+    first.corrupt_f_symbol(1, 1, 1, 1, delta=1e-2)
+    second.corrupt_f_symbol(1, 1, 1, 1, delta=3e-2)
+    clean = AnyonModel(3).symbols
+    assert len({id(first.symbols), id(second.symbols), id(clean)}) == 3
+    assert _sigma2_defect(second) > 2 * _sigma2_defect(first)
