@@ -1,0 +1,397 @@
+"""The one-pass weave search: a batched numpy frontier, depth by depth.
+
+``synth.search`` imports this module on its first call, so commands that
+run no search never load it.
+
+The search walks the word forest one depth at a time.  A level holds every
+node of one depth as parallel arrays, in lex order of the node's word (the
+order of ``_Problem.all_moves``).  A node's sector matrices are one row of
+``re`` and one of ``im``: each sector's n x n entries flat, sector after
+sector.  Every complex operation of ``synth._flat_mul`` and
+``synth._rule_deviation`` is split into float64 ufuncs in the same order
+(``np.hypot`` for ``abs``, ``np.float_power`` for ``**``), so batched states
+and scores equal the scalar ones bit for bit; complex ufuncs, ``np.sqrt``
+and ``np.power`` do not.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from .model import AnyonModel
+from .synth import (
+    ColumnRule,
+    PhaseRule,
+    SearchConfig,
+    SynthesisTarget,
+    _Best,
+    _Problem,
+)
+
+
+def _coefficients(gens: tuple, dims: tuple) -> tuple:
+    """Per sector, a generator's real and imaginary parts as n x n arrays."""
+    return tuple((np.array([z.real for z in G]).reshape(n, n),
+                  np.array([z.imag for z in G]).reshape(n, n))
+                 for G, n in zip(gens, dims))
+
+
+def _vmul(coef: tuple, dims: tuple, re: np.ndarray, im: np.ndarray):
+    """``_flat_mul(G, M, n)`` for every node's M, one generator per sector."""
+    out_re = np.empty_like(re)
+    out_im = np.empty_like(im)
+    start = 0
+    for (gr, gi), n in zip(coef, dims):
+        stop = start + n * n
+        mr = re[:, start:stop].reshape(-1, n, n)
+        mi = im[:, start:stop].reshape(-1, n, n)
+        acc_r = acc_i = None
+        for t in range(n):
+            a, b = gr[:, t, None], gi[:, t, None]            # G[i, t]
+            xr, xi = mr[:, t, None, :], mi[:, t, None, :]    # M[t, j]
+            pr = a * xr - b * xi
+            pi = a * xi + b * xr
+            if acc_r is None:  # from three rows on, the sum starts at 0.0j
+                acc_r, acc_i = (pr, pi) if n < 3 else (0.0 + pr, 0.0 + pi)
+            else:
+                acc_r += pr
+                acc_i += pi
+        out_re[:, start:stop] = acc_r.reshape(-1, n * n)
+        out_im[:, start:stop] = acc_i.reshape(-1, n * n)
+        start = stop
+    return out_re, out_im
+
+
+def _score_nodes(problem: _Problem, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``problem.score`` of every node (row of ``re``, ``im``)."""
+    worst = np.zeros(len(re))
+    for rule, si in problem.rules:
+        n = problem.dims[si]
+        o = problem.offsets[si]
+        if isinstance(rule, PhaseRule):
+            ref = complex(rule.reference)
+            dev = np.hypot(re[:, o] - ref.real, im[:, o] - ref.imag)
+        elif isinstance(rule, ColumnRule):
+            cols = [o + i * n + rule.input_index for i in range(n)]
+            total = 0.0
+            if rule.exact_value is not None:
+                for i, c in enumerate(cols):
+                    w = rule.exact_value * rule.target[i]
+                    total = total + np.float_power(
+                        np.hypot(re[:, c] - w.real, im[:, c] - w.imag), 2)
+                dev = np.float_power(total, 0.5)
+            else:
+                along_r = along_i = 0.0
+                for i, c in enumerate(cols):
+                    total = total + np.float_power(np.hypot(re[:, c], im[:, c]), 2)
+                    t = rule.target[i].conjugate()
+                    along_r = along_r + (t.real * re[:, c] - t.imag * im[:, c])
+                    along_i = along_i + (t.real * im[:, c] + t.imag * re[:, c])
+                along = np.hypot(along_r, along_i)
+                dev = np.float_power(np.maximum(0.0, total - along * along), 0.5)
+        else:
+            tr_r = tr_i = 0.0
+            for i in range(n):
+                for j in range(n):
+                    t = rule.target[i][j]
+                    # M[i, j].conjugate() * t
+                    mr, mi = re[:, o + i * n + j], -im[:, o + i * n + j]
+                    tr_r = tr_r + (mr * t.real - mi * t.imag)
+                    tr_i = tr_i + (mr * t.imag + mi * t.real)
+            dev = np.float_power(
+                np.maximum(0.0, 1.0 - np.hypot(tr_r, tr_i) / n), 0.5)
+        np.maximum(worst, dev, out=worst)
+    return worst
+
+
+def _round12(x: np.ndarray) -> np.ndarray:
+    """``round(v, 12)`` of every entry, with -0.0 read as 0.0.
+
+    ``rint(v * 1e12) / 1e12`` is Python's result unless ``v * 1e12`` lies
+    near a half step, where the rounded product may tip either way, or
+    beyond 2**40; those few entries are redone with ``round``.
+    """
+    y = x * 1e12
+    out = np.rint(y) / 1e12
+    redo = (np.abs(y - np.floor(y) - 0.5) < 1e-3) | ~(np.abs(y) < 2.0 ** 40)
+    if redo.any():
+        out[redo] = [round(v, 12) for v in x[redo].tolist()]
+    return out + 0.0
+
+
+class _Level:
+    """The nodes of one depth, as parallel arrays in lex order of word:
+    arrangement id, last move index, index of the parent in the level above,
+    subtree (the scope of dedup), and the flat sector matrices."""
+
+    __slots__ = ("arr", "last", "parent", "tree", "re", "im")
+
+    def __init__(self, arr, last, parent, tree, re, im):
+        self.arr, self.last, self.parent, self.tree = arr, last, parent, tree
+        self.re, self.im = re, im
+
+    def __len__(self) -> int:
+        return len(self.arr)
+
+    def take(self, index) -> "_Level":
+        return _Level(self.arr[index], self.last[index], self.parent[index],
+                      self.tree[index], self.re[index], self.im[index])
+
+    def first_per_key(self) -> np.ndarray:
+        """Indices, in order, of the first node per (subtree, arrangement,
+        state rounded to 12 digits): the nodes a seen set lets through."""
+        keys = [self.tree.astype(np.int64), self.arr.astype(np.int64)]
+        keys += [_round12(column).view(np.int64) for column in (*self.re.T, *self.im.T)]
+
+        def starts(order):
+            new = np.zeros(len(order), dtype=bool)
+            new[:1] = True
+            for key in keys:
+                ordered = key[order]
+                new[1:] |= ordered[1:] != ordered[:-1]
+            return new
+
+        # Sort by a 64-bit mix of each key (stable, so equal keys keep node
+        # order); if two different keys share a mix, sort by the keys.
+        mix = np.zeros(len(self), dtype=np.uint64)
+        for key in keys:
+            mix ^= key.view(np.uint64)
+            mix *= _MIX
+            mix ^= mix >> np.uint64(32)
+        order = np.argsort(mix, kind="stable")
+        new = starts(order)
+        mixed = mix[order]
+        if (new[1:] & (mixed[1:] == mixed[:-1])).any():
+            order = np.lexsort(keys)
+            new = starts(order)
+        return np.sort(order[new])
+
+
+# Odd multiplier of the dedup key mix (2**64 / golden ratio).
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+# Children a batch of subtrees may have at one depth before the walk splits
+# it; bounds the walk's memory to a few MB.
+_BATCH_NODES = 1 << 13
+
+
+class _Walk:
+    """Level-by-level expansion of the word forest for one worker, with its
+    tallies: nodes visited, busy seconds and best score per depth, and the
+    best word overall."""
+
+    def __init__(self, problem: _Problem):
+        self.problem = problem
+        # Move index -> letter; (p, 1) and (p, -1) are 2(p-1) and 2(p-1)+1,
+        # so index order is lex order and m ^ 1 is the inverse of m.
+        self.letters = problem.all_moves()
+        self.branching = (min(4, len(self.letters)) if problem.config.weave_only
+                          else len(self.letters)) - 1
+        self.arrangements: list = []
+        self._ids: dict = {}
+        self.final = self._arrangement_id(problem.final_arr)
+        self._outgoing: dict = {}
+        # Per depth down to the current level: (parent, last) of the nodes
+        # kept for expansion, for spelling out words.
+        self.trail: list = []
+        length = problem.config.max_length
+        self.visited = [0] * (length + 1)
+        self.seconds = [0.0] * (length + 1)
+        self.scores = [float("inf")] * (length + 1)
+        self.best = _Best()
+
+    def _arrangement_id(self, arr: tuple) -> int:
+        if arr not in self._ids:
+            self._ids[arr] = len(self.arrangements)
+            self.arrangements.append(arr)
+        return self._ids[arr]
+
+    def outgoing(self, a: int) -> list:
+        """(move index, next arrangement id, coefficients) per letter
+        available from arrangement ``a``, in canonical order."""
+        hit = self._outgoing.get(a)
+        if hit is None:
+            problem = self.problem
+            arr = self.arrangements[a]
+            if problem.config.weave_only:
+                letters = problem.moves(arr.index(problem.mobile) + 1)
+            else:
+                letters = self.letters
+            hit = []
+            for p, e in letters:
+                new_arr, gens = problem.transition(arr, p, e)
+                hit.append((self.letters.index((p, e)),
+                            self._arrangement_id(new_arr),
+                            _coefficients(gens, problem.dims)))
+            self._outgoing[a] = hit
+        return hit
+
+    def root(self) -> _Level:
+        flat = [z for M in self.problem.initial_state for z in M]
+        one = np.zeros(1, dtype=np.int32)
+        return _Level(one + self._arrangement_id(self.problem.initial_arr),
+                      one - 1, one - 1, one,
+                      np.array([[z.real for z in flat]]),
+                      np.array([[z.imag for z in flat]]))
+
+    def expand(self, level: _Level, only_final: bool = False):
+        """(children of every node in lex order, number of children).
+
+        With ``only_final``, children outside the final arrangement are
+        counted but not built: at the last depth they are never expanded.
+        """
+        groups = []
+        count = 0
+        for a in np.flatnonzero(np.bincount(level.arr)).tolist():
+            rows_a = np.flatnonzero(level.arr == a)
+            last_a = level.last[rows_a]
+            for m, b, coef in self.outgoing(a):
+                rows = rows_a[last_a != (m ^ 1)]
+                count += len(rows)
+                if len(rows) and (b == self.final or not only_final):
+                    groups.append((rows, m, b, coef))
+        # A parent's children sit together, in move order; groups of one
+        # arrangement come in move order, so each fills the next free slot.
+        fill = np.zeros(len(level) + 1, dtype=np.intp)
+        for rows, _, _, _ in groups:
+            fill[rows + 1] += 1
+        np.cumsum(fill, out=fill)
+        size = int(fill[-1])
+        width = level.re.shape[1]
+        kids = _Level(np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32),
+                      np.empty(size, dtype=np.int32), None,
+                      np.empty((size, width)), np.empty((size, width)))
+        for rows, m, b, coef in groups:
+            dest = fill[rows]
+            fill[rows] += 1
+            kids.arr[dest] = b
+            kids.last[dest] = m
+            kids.parent[dest] = rows
+            kids.re[dest], kids.im[dest] = _vmul(coef, self.problem.dims,
+                                                 level.re[rows], level.im[rows])
+        kids.tree = level.tree[kids.parent]
+        return kids, count
+
+    def keep(self, depth: int, level: _Level) -> None:
+        """Record the nodes at ``depth`` that will be expanded next."""
+        del self.trail[depth:]
+        self.trail.append((level.parent, level.last))
+
+    def tally(self, depth: int, visited: int, winner, t0: float) -> None:
+        self.visited[depth] += visited
+        self.seconds[depth] += time.perf_counter() - t0
+        if winner is not None:
+            self.scores[depth] = min(self.scores[depth], winner[0])
+            self.best.offer(*winner)
+
+    def winner(self, level: _Level, mask=None):
+        """(score, letters) of the lex-first best node in the final
+        arrangement (and in ``mask``), or None."""
+        hit = level.arr == self.final
+        if mask is not None:
+            hit &= mask
+        index = np.flatnonzero(hit)
+        if not len(index):
+            return None
+        scores = _score_nodes(self.problem, level.re[index], level.im[index])
+        i = int(np.argmin(scores))  # first minimum: the lex-smallest word
+        return float(scores[i]), self.word(level, int(index[i]))
+
+    def word(self, level: _Level, node: int) -> tuple:
+        letters = [self.letters[level.last[node]]]
+        node = level.parent[node]
+        for parent, last in reversed(self.trail[1:]):
+            letters.append(self.letters[last[node]])
+            node = parent[node]
+        return tuple(reversed(letters))
+
+    def descend(self, level: _Level, depth: int) -> None:
+        """Walk every depth below ``level``, the nodes kept at ``depth``.
+
+        A level whose children could pass ``_BATCH_NODES`` is walked one
+        half of its subtrees at a time.  Dedup never crosses a subtree, so
+        the halves visit the nodes the whole level would.
+        """
+        config = self.problem.config
+        while depth < config.max_length:
+            tree = level.tree
+            if len(level) * self.branching > _BATCH_NODES and tree[0] != tree[-1]:
+                cut = int(np.searchsorted(tree, tree[len(tree) // 2]))
+                if cut == 0:
+                    cut = int(np.searchsorted(tree, tree[0], side="right"))
+                for half in (slice(0, cut), slice(cut, None)):
+                    part = level.take(half)
+                    self.keep(depth, part)
+                    self.descend(part, depth)
+                return
+            t0 = time.perf_counter()
+            depth += 1
+            last_depth = depth == config.max_length
+            level, visited = self.expand(level, only_final=last_depth)
+            winner = self.winner(level)
+            if not last_depth:
+                if config.dedup:
+                    level = level.take(level.first_per_key())
+                self.keep(depth, level)
+            self.tally(depth, visited, winner, t0)
+
+
+def worker_job(k: int, target: SynthesisTarget, config: SearchConfig,
+               worker: int, worker_count: int, prefix_depth: int):
+    """Walk this worker's share of the word forest once, depth by depth.
+
+    Words shorter than ``prefix_depth`` are the stub: worker 0 visits them
+    with one seen set of its own.  Every freely reduced word of exactly
+    ``prefix_depth`` letters is a prefix; prefixes are dealt round-robin,
+    and each roots a subtree with its own seen set.  A seen set passes the
+    first node per (depth, arrangement, rounded state) in lex order, and
+    only nodes it passes are expanded.  The nodes visited at a depth do not
+    depend on the length limit, so the curve row for length L counts the
+    visits at depths <= L, and counts and results are identical for any
+    worker count.
+    """
+    model = AnyonModel(k)
+    problem = _Problem(model, target, config)
+    walk = _Walk(problem)
+    t0 = time.perf_counter()
+    if worker == 0 and problem.initial_arr == problem.final_arr:
+        walk.tally(0, 0, (problem.score(problem.initial_state), ()), t0)
+
+    # Depths up to the prefixes: the full tree, so that every prefix is
+    # reached, with the stub's nodes as a mask over it.
+    level = walk.root()
+    walk.keep(0, level)
+    stub = np.ones(1, dtype=bool)  # nodes the stub's seen set lets through
+    for depth in range(1, prefix_depth + 1):
+        t0 = time.perf_counter()
+        level, _ = walk.expand(level)
+        visited, winner = 0, None
+        if depth == prefix_depth:
+            level = level.take(np.arange(worker, len(level), worker_count))
+            level.tree = np.arange(len(level), dtype=np.int32)
+            visited, winner = len(level), walk.winner(level)
+        elif worker == 0:
+            stub = stub[level.parent]
+            visited, winner = int(np.count_nonzero(stub)), walk.winner(level, stub)
+            if config.dedup and depth < prefix_depth - 1:
+                index = np.flatnonzero(stub)
+                stub = np.zeros(len(level), dtype=bool)
+                stub[index[level.take(index).first_per_key()]] = True
+        walk.keep(depth, level)
+        walk.tally(depth, visited, winner, t0)
+    walk.descend(level, prefix_depth)
+
+    rows = []
+    nodes = 0
+    best = walk.scores[0]  # the empty word's
+    for depth in range(1, config.max_length + 1):
+        nodes += walk.visited[depth]
+        best = min(best, walk.scores[depth])
+        rows.append((depth, best, nodes, walk.visited[depth], walk.seconds[depth]))
+    return (walk.best.score, walk.best.length, walk.best.letters), rows
+
+
+def worker_job_star(args):
+    return worker_job(*args)

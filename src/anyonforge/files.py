@@ -179,9 +179,12 @@ def result_from_payload(model: AnyonModel, payload: dict):
 # --- convergence curves --------------------------------------------------
 
 def curve_csv(stats: SearchStats) -> str:
+    """One row per length; ``best_distance`` is ``inf`` while no word that
+    short reaches the final arrangement (``float()`` reads it back)."""
     lines = ["length,best_distance,nodes_explored,seconds"]
     for length, best, nodes, _frontier, seconds in stats.rows:
-        lines.append(f"{length},{_format_float(best)},{nodes},{seconds:.6f}")
+        text = "inf" if best == float("inf") else _format_float(best)
+        lines.append(f"{length},{text},{nodes},{seconds:.6f}")
     return "\n".join(lines) + "\n"
 
 

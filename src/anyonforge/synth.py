@@ -10,8 +10,10 @@ does all the moving inside an allowed span of positions.  Because composite
 exchanges preserve every block's charge and act on coarse trees only
 (block-internal states ride along untouched), the search tracks one small
 coarse matrix per constrained charge sector and scores candidates directly
-from those.  The returned braid is re-verified on the full fusion space by
-an independent route (products of composite generators) before reporting.
+from those.  It visits each word length once, all words of one length
+together as numpy arrays (``_frontier``).  The returned braid is re-verified on the full
+fusion space by an independent route (products of composite generators)
+before reporting.
 
 Targets are data: each names the block system, the mobile block, and a set
 of per-sector rules (pinned phases, required image columns, or exact
@@ -310,9 +312,17 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
-    """Per-deepening-pass accounting; one row per pass length."""
+    """Search accounting: one row per length L from 1 to max_length.
 
-    rows: list = field(default_factory=list)  # (length, best, nodes, frontier, seconds)
+    A row is (length, best, nodes, frontier, seconds): the best score over
+    words of length <= L; the words of length <= L visited (after dedup);
+    the words of exactly length L visited; and the time spent at depth L,
+    summed over workers (busy time).  ``wall_seconds`` is the wall-clock
+    time of the whole enumeration.
+    """
+
+    rows: list = field(default_factory=list)
+    wall_seconds: float = 0.0
 
     def add(self, length: int, best: float, nodes: int, frontier: int, seconds: float):
         self.rows.append((length, best, nodes, frontier, seconds))
@@ -321,10 +331,10 @@ class SearchStats:
         for entry in self.rows:
             if entry[0] == length:
                 return entry
-        raise KeyError(f"no pass at length {length}")
+        raise KeyError(f"no row for length {length}")
 
     def nodes_at_depth(self, length: int) -> int:
-        """Number of words of exactly this length visited in its pass."""
+        """Number of words of exactly this length visited."""
         return self.row(length)[3]
 
 
@@ -523,14 +533,21 @@ def _flat_mul(G: tuple, M: tuple, n: int) -> tuple:
 
 
 def _rule_deviation(rule, M: tuple, n: int) -> float:
-    """Deviation of one flat sector matrix from one rule."""
+    """Deviation of one flat sector matrix from one rule.
+
+    Sums run left to right from zero in explicit loops (``sum`` of floats is
+    compensated from CPython 3.12 on), so ``_frontier._score_nodes`` can
+    repeat every operation in the same order and agree to the last bit.
+    """
     if isinstance(rule, PhaseRule):
         return abs(M[0] - rule.reference)
     if isinstance(rule, ColumnRule):
         col = [M[i * n + rule.input_index] for i in range(n)]
         if rule.exact_value is not None:
-            return sum(abs(col[i] - rule.exact_value * rule.target[i]) ** 2
-                       for i in range(n)) ** 0.5
+            total = 0.0
+            for i in range(n):
+                total += abs(col[i] - rule.exact_value * rule.target[i]) ** 2
+            return total ** 0.5
         return _column_leak(rule, col)
     tr = 0.0j
     for i in range(n):
@@ -541,8 +558,12 @@ def _rule_deviation(rule, M: tuple, n: int) -> float:
 
 def _column_leak(rule: ColumnRule, col) -> float:
     """Norm of the column component orthogonal to the target direction."""
-    total = sum(abs(z) ** 2 for z in col)
-    along = abs(sum(rule.target[i].conjugate() * col[i] for i in range(len(col))))
+    total = 0.0
+    along = 0.0j
+    for i, z in enumerate(col):
+        total += abs(z) ** 2
+        along += rule.target[i].conjugate() * z
+    along = abs(along)
     return max(0.0, total - along * along) ** 0.5
 
 
@@ -561,6 +582,9 @@ class _Problem:
         self.sectors = tuple(sorted({r.sector for r in scored}))
         sector_pos = {s: i for i, s in enumerate(self.sectors)}
         self.dims = tuple(enumerate_basis(model, s, 0).dim for s in self.sectors)
+        # First flat column of each sector in a batched state row.
+        self.offsets = tuple(sum(d * d for d in self.dims[:i])
+                             for i in range(len(self.dims)))
         self.rules = tuple((rule, sector_pos[rule.sector]) for rule in scored)
         self.initial_state = tuple(_flat(np.eye(d)) for d in self.dims)
         self._transitions: dict = {}
@@ -604,27 +628,18 @@ class _Problem:
         self._transitions[key] = entry
         return entry
 
-    def score(self, state: tuple, cap: float | None = None) -> float | None:
-        """Worst rule deviation; None once it provably exceeds ``cap``."""
+    def score(self, state: tuple) -> float:
+        """Worst rule deviation."""
         worst = 0.0
         for rule, si in self.rules:
             dev = _rule_deviation(rule, state[si], self.dims[si])
             if dev > worst:
                 worst = dev
-                if cap is not None and worst > cap:
-                    return None
         return worst
 
     def deviations(self, state: tuple) -> list:
         return [(rule, _rule_deviation(rule, state[si], self.dims[si]))
                 for rule, si in self.rules]
-
-
-def _quantize(arr: tuple, state: tuple) -> tuple:
-    parts = [arr]
-    for M in state:
-        parts.append(tuple((round(z.real, 12), round(z.imag, 12)) for z in M))
-    return tuple(parts)
 
 
 def _letter_key(letters) -> tuple:
@@ -649,123 +664,15 @@ class _Best:
             self.score, self.length, self.letters = score, len(letters), tuple(letters)
 
 
-def _enumerate_prefixes(problem: _Problem, depth: int) -> list:
-    """All freely reduced words of exactly ``depth`` letters, in lex order."""
-    out: list[tuple] = []
-    weave = problem.config.weave_only
-
-    def walk(arr, pos, letters, last):
-        if len(letters) == depth:
-            out.append(letters)
-            return
-        for p, e in (problem.moves(pos) if weave else problem.all_moves()):
-            if last == (p, -e):
-                continue
-            i = p - 1
-            new_arr = arr[:i] + (arr[i + 1], arr[i]) + arr[i + 2:]
-            new_pos = (p if pos == p + 1 else p + 1) if weave else pos
-            walk(new_arr, new_pos, letters + ((p, e),), (p, e))
-
-    walk(problem.initial_arr, problem.mobile + 1, (), None)
-    return out
-
-
-def _replay(problem: _Problem, letters: tuple):
+def _replay(problem: _Problem, letters: tuple) -> tuple:
+    """The sector state after ``letters``, one letter at a time."""
     arr = problem.initial_arr
     state = problem.initial_state
     for p, e in letters:
         arr, gens = problem.transition(arr, p, e)
         state = tuple(_flat_mul(g, m, n)
                       for g, m, n in zip(gens, state, problem.dims))
-    pos = arr.index(problem.mobile) + 1
-    return arr, pos, state
-
-
-def _worker_job(k: int, target: SynthesisTarget, config: SearchConfig,
-                worker: int, worker_count: int, prefix_depth: int):
-    """Explore this worker's share of the prefix forest.
-
-    The forest is the set of freely reduced words split at ``prefix_depth``:
-    worker 0 owns all shorter words (the stub), and the depth-exact prefixes
-    are dealt round-robin.  Every pass of the deepening loop walks the same
-    node set a single-worker run would, so node counts and results are
-    identical for any worker count.
-    """
-    model = AnyonModel(k)
-    problem = _Problem(model, target, config)
-    best = _Best()
-    rows = []
-
-    prefixes = _enumerate_prefixes(problem, prefix_depth)
-    mine = prefixes[worker::worker_count]
-    weave = config.weave_only
-
-    if worker == 0 and problem.initial_arr == problem.final_arr:
-        best.offer(problem.score(problem.initial_state), ())
-
-    for limit in range(1, config.max_length + 1):
-        t0 = time.perf_counter()
-        nodes = 0
-        frontier = 0
-
-        def explore(arr, pos, state, letters, last, depth, depth_cap, seen):
-            nonlocal nodes, frontier
-            for p, e in (problem.moves(pos) if weave else problem.all_moves()):
-                if last == (p, -e):
-                    continue
-                new_arr, gens = problem.transition(arr, p, e)
-                new_state = tuple(
-                    _flat_mul(g, m, n)
-                    for g, m, n in zip(gens, state, problem.dims))
-                nodes += 1
-                new_depth = depth + 1
-                if new_depth == limit:
-                    frontier += 1
-                new_letters = letters + ((p, e),)
-                if new_arr == problem.final_arr:
-                    score = problem.score(new_state, cap=best.score)
-                    if score is not None:
-                        best.offer(score, new_letters)
-                if new_depth < depth_cap:
-                    if seen is not None:
-                        key = (_quantize(new_arr, new_state), new_depth)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                    new_pos = (p if pos == p + 1 else p + 1) if weave else pos
-                    explore(new_arr, new_pos, new_state, new_letters,
-                            (p, e), new_depth, depth_cap, seen)
-
-        if worker == 0:
-            stub_cap = min(limit, prefix_depth - 1)
-            if stub_cap >= 1:
-                explore(problem.initial_arr, problem.mobile + 1,
-                        problem.initial_state, (), None, 0, stub_cap,
-                        set() if config.dedup else None)
-
-        if limit >= prefix_depth:
-            for letters in mine:
-                arr, pos, state = _replay(problem, letters)
-                nodes += 1
-                if prefix_depth == limit:
-                    frontier += 1
-                if arr == problem.final_arr:
-                    score = problem.score(state, cap=best.score)
-                    if score is not None:
-                        best.offer(score, letters)
-                if limit > prefix_depth:
-                    explore(arr, pos, state, letters, letters[-1],
-                            prefix_depth, limit,
-                            set() if config.dedup else None)
-
-        rows.append((limit, best.score if best.length >= 0 else float("inf"),
-                     nodes, frontier, time.perf_counter() - t0))
-
-    return (best.score, best.length, best.letters), rows
-
-
-def _worker_job_star(args):
-    return _worker_job(*args)
+    return state
 
 
 def _merge_rows(all_rows: list) -> SearchStats:
@@ -786,7 +693,7 @@ def _merge_rows(all_rows: list) -> SearchStats:
 
 def search(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
            workers: int = 1) -> SynthesisResult:
-    """Exhaustive iterative-deepening enumeration up to config.max_length.
+    """Exhaustive enumeration of words up to config.max_length, in one pass.
 
     Deterministic regardless of worker count: the prefix forest at a fixed
     depth is dealt round-robin to workers and results merge by
@@ -797,14 +704,18 @@ def search(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
         raise ValueError(f"model k={model.k} does not match target k={target.k}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    # Loaded on the first search, so commands that run none skip it.
+    from ._frontier import worker_job, worker_job_star
+
+    start = time.perf_counter()
     prefix_depth = min(4, config.max_length)
     args = [(model.k, target, config, w, workers, prefix_depth)
             for w in range(workers)]
     if workers == 1:
-        outcomes = [_worker_job(*args[0])]
+        outcomes = [worker_job(*args[0])]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_worker_job_star, args))
+            outcomes = list(pool.map(worker_job_star, args))
     bests = [(score, length, _letter_key(letters), letters)
              for (score, length, letters), _ in outcomes if length >= 0]
     if not bests:
@@ -812,6 +723,7 @@ def search(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
     bests.sort(key=lambda entry: entry[:3])
     letters = bests[0][3]
     stats = _merge_rows([rows for _, rows in outcomes])
+    stats.wall_seconds = time.perf_counter() - start
     word = BraidWord(target.block_count, letters)
     return _finish(model, target, config, word, stats)
 
@@ -838,8 +750,7 @@ def _finish(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
             word: BraidWord, stats: SearchStats) -> SynthesisResult:
     """Re-verify the chosen word on the full space and build the result."""
     problem = _Problem(model, target, config)
-    _, _, state = _replay(problem, word.letters)
-    incremental = problem.score(state)
+    incremental = problem.score(_replay(problem, word.letters))
 
     coarse = _coarse_from_full(model, target, word)
     full_state = tuple(_flat(coarse[s]) for s in problem.sectors)

@@ -1,6 +1,7 @@
 """Canonical serialization: stable bytes, full float precision, round trips."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,3 +134,16 @@ def test_curve_csv_layout():
     # distances survive text round trips at full precision
     best = float(lines[2].split(",")[1])
     assert best == 0.25
+
+
+def test_curve_csv_writes_inf_before_the_arrangement_is_reached(model3):
+    """No word of one letter ends on this arrangement, so row 1 has no best
+    distance yet; it is written as inf and every row keeps four fields."""
+    target = replace(make_target_B1(model3), final_arrangement=(1, 2, 0, 3))
+    result = search(model3, target, SearchConfig(max_length=4))
+    lines = curve_csv(result.stats).splitlines()
+    assert lines[0] == "length,best_distance,nodes_explored,seconds"
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(len(row) == 4 for row in rows)
+    assert rows[0][1] == "inf" and float(rows[0][1]) == float("inf")
+    assert [float(row[1]) for row in rows[1:]] == [r[1] for r in result.stats.rows[1:]]
