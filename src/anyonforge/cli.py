@@ -16,6 +16,7 @@ column is legitimately run-dependent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -350,7 +351,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process.  Usage and help output
+    go to ``sys.stderr``/``sys.stdout`` as they are when printed."""
     parser = _Parser(prog="anyonforge",
                      description="SU(2)_k anyon braid synthesis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

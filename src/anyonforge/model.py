@@ -80,10 +80,15 @@ class SymbolCache:
     """One level's symbol table and everything derived from it.
 
     Holds the memoized F and R symbols, the fusion bases built by
-    ``spaces.enumerate_basis`` and the braid generators built from the
-    symbols by ``spaces.braid_generator``.  All clean models of one level
-    share one table; a model whose F symbols are damaged works on a private
-    copy (see ``AnyonModel.corrupt_f_symbol``).
+    ``spaces.enumerate_basis``, the braid generators built from the
+    symbols by ``spaces.braid_generator``, the regrouped frames built by
+    ``spaces.regroup`` and the word steps of ``synth.evaluate_tracked``.
+    ``steps`` maps (leaves, total, blocks, position, exponent) to the
+    read-only matrix of that composite letter with the leaves and grouping
+    it ends on; ``frames`` maps (leaves, total, blocks) to ``regroup``'s
+    (grouped basis, transform).  All clean models of one level share one
+    table; a model whose F symbols are damaged works on a private copy
+    (see ``AnyonModel.corrupt_f_symbol``).
     """
 
     def __init__(self, k: int):
@@ -92,6 +97,8 @@ class SymbolCache:
         self.r_symbols: dict[tuple[int, int, int], complex] = {}
         self.bases: dict = {}
         self.generators: dict = {}
+        self.frames: dict = {}
+        self.steps: dict = {}
 
 
 # The clean table of each level, shared by every clean model of that level.
@@ -295,9 +302,10 @@ class AnyonModel:
 
         Used by the ``check --debug-corrupt`` path and the negative-control
         tests: a corrupted entry must make the pentagon residual blow up.
-        The model first moves onto a private copy of its symbol table (F and
-        R symbols copied, no derived generators), so the shared clean table
-        of this level, and every other model, stay untouched.
+        The model first moves onto a private copy of its symbol table, so
+        the shared clean table of this level, and every other model, stay
+        untouched.  The copy holds the F and R symbols only: no bases,
+        generators, frames or word steps derived from the clean symbols.
         """
         block = self.f_symbol(a, b, c, d)
         table = SymbolCache(self.k)

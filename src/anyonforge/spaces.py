@@ -309,12 +309,18 @@ def regroup(model: AnyonModel, basis: FusionBasis, grouping: Grouping
     """Unitary change of basis from fine comb trees to block-adapted trees.
 
     Returns ``(grouped, U)`` with ``U[g, f] = <grouped_g | fine_f>``; U is
-    unitary, and for the all-singletons grouping it is the identity.
+    unitary (read-only), and for the all-singletons grouping it is the
+    identity.  Each frame is built once per symbol table.
     """
     if grouping.strand_count != len(basis.leaves):
         raise ValueError(
             f"grouping covers {grouping.strand_count} strands, basis has {len(basis.leaves)}"
         )
+    key = (basis.leaves, basis.total, grouping.blocks)
+    cache = model.symbols.frames
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     per_block = [
         sorted(set(_enumerate_block_trees(model, charges)))
         for charges in grouping.block_charges(basis.leaves)
@@ -355,6 +361,7 @@ def regroup(model: AnyonModel, basis: FusionBasis, grouping: Grouping
                 amp *= coeff
             matrix[row, col] += np.conj(amp)
     matrix.setflags(write=False)
+    cache[key] = grouped, matrix
     return grouped, matrix
 
 

@@ -150,28 +150,37 @@ def evaluate_tracked(model: AnyonModel, basis, word: BraidWord,
     """Product of composite generator matrices, applied letters[0] first.
 
     Returns (matrix, final_leaves, final_grouping); the matrix maps the
-    given basis to the basis over the final leaf arrangement.
+    given basis to the basis over the final leaf arrangement.  Each letter's
+    matrix and end arrangement is built once per symbol table
+    (``model.symbols.steps``); a letter seen before costs one lookup and
+    one matrix product.
     """
     if grouping is None:
         grouping = Grouping.of_sizes(*([1] * len(basis.leaves)))
     if word.strand_count != len(grouping.blocks):
         raise ValueError("word strand count does not match block count")
+    steps = model.symbols.steps
+    total = basis.total
     U = np.eye(basis.dim, dtype=np.complex128)
     leaves = basis.leaves
     g = grouping
     for pos, exp in word.letters:
-        cur = enumerate_basis(model, leaves, basis.total)
-        if exp == 1:
-            M = composite_braid_generator(model, cur, g, pos)
-        else:
+        key = (leaves, total, g.blocks, pos, exp)
+        step = steps.get(key)
+        if step is None:
             new_leaves = _block_swapped_leaves(leaves, g, pos)
             new_g = swap_blocks(g, pos)
-            fwd = composite_braid_generator(
-                model, enumerate_basis(model, new_leaves, basis.total), new_g, pos)
-            M = fwd.conj().T
+            if exp == 1:
+                M = composite_braid_generator(
+                    model, enumerate_basis(model, leaves, total), g, pos)
+            else:
+                fwd = composite_braid_generator(
+                    model, enumerate_basis(model, new_leaves, total), new_g, pos)
+                M = fwd.conj().T
+            M.setflags(write=False)
+            step = steps[key] = (M, new_leaves, new_g)
+        M, leaves, g = step
         U = M @ U
-        leaves = _block_swapped_leaves(leaves, g, pos)
-        g = swap_blocks(g, pos)
     return U, leaves, g
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from anyonforge import synth
+from anyonforge import cli, synth
 from anyonforge.cli import main
 
 
@@ -44,6 +44,25 @@ def test_unknown_command(capsys):
     assert run(capsys, "frobnicate")[0] == 1
 
 
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once per process; each call still gets its own
+    defaults, exit code and output streams."""
+    code, out, err = run(capsys, "basis", "--k", "3", "--leaves", "1/2,1/2",
+                         "--total", "1", "--format", "json")
+    assert (code, json.loads(out)["total"], err) == (0, 2, "")
+    code, out, err = run(capsys, "basis", "--k", "3", "--bogus")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --bogus" in err
+    code, out, err = run(capsys, "basis", "--k", "3", "--leaves", "1/2,1/2",
+                         "--format", "json")
+    assert (code, json.loads(out)["total"], err) == (0, 0, "")
+    code, out, err = run(capsys, "model", "--k", "3", "--format", "json")
+    assert (code, json.loads(out)["k"], err) == (0, 3, "")
+    code, out, _ = run(capsys, "synth", "--help")
+    assert code == 0 and "--max-length" in out
+    assert cli._build_parser() is cli._build_parser()
+
+
 # --- check ------------------------------------------------------------------
 
 def test_check_clean(capsys):
@@ -64,6 +83,10 @@ def test_corrupt_check_does_not_reuse_clean_generators(capsys):
     assert code == 2
     report = json.loads(out)
     assert report["braid_relation_residual"] > report["tolerance"]
+    # The damaged run's steps and frames stay on its private table.
+    code, out, _ = run(capsys, "check", "--k", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["braid_relation_residual"] < 1e-12
 
 
 # --- basis ------------------------------------------------------------------
