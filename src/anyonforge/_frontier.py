@@ -5,13 +5,13 @@ run no search never load it.
 
 The search walks the word forest one depth at a time.  A level holds every
 node of one depth as parallel arrays, in lex order of the node's word (the
-order of ``_Problem.all_moves``).  A node's sector matrices are one row of
-``re`` and one of ``im``: each sector's n x n entries flat, sector after
-sector.  Every complex operation of ``synth._flat_mul`` and
-``synth._rule_deviation`` is split into float64 ufuncs in the same order
-(``np.hypot`` for ``abs``, ``np.float_power`` for ``**``), so batched states
-and scores equal the scalar ones bit for bit; complex ufuncs, ``np.sqrt``
-and ``np.power`` do not.
+order of ``_Problem.all_moves``).  A node's sector matrices are one state
+row of ``re`` and one of ``im`` (see ``synth._Problem``), scored by
+``_Problem.score``.  ``_vmul`` splits each complex product of a generator
+and a node's matrix into float64 ufuncs in the order of complex scalar
+arithmetic, so its products equal the scalar ones bit for bit
+(``test_search_core`` keeps the scalar route as the oracle); complex ufuncs
+and ``matmul`` do not.
 """
 
 from __future__ import annotations
@@ -22,24 +22,16 @@ import numpy as np
 
 from .model import AnyonModel
 from .synth import (
-    ColumnRule,
-    PhaseRule,
     SearchConfig,
     SynthesisTarget,
-    _Best,
     _Problem,
+    _rank,
 )
 
 
-def _coefficients(gens: tuple, dims: tuple) -> tuple:
-    """Per sector, a generator's real and imaginary parts as n x n arrays."""
-    return tuple((np.array([z.real for z in G]).reshape(n, n),
-                  np.array([z.imag for z in G]).reshape(n, n))
-                 for G, n in zip(gens, dims))
-
-
 def _vmul(coef: tuple, dims: tuple, re: np.ndarray, im: np.ndarray):
-    """``_flat_mul(G, M, n)`` for every node's M, one generator per sector."""
+    """G @ M for every node's M, one generator G per sector, given as
+    ``coef``: per sector, G's real and imaginary parts."""
     out_re = np.empty_like(re)
     out_im = np.empty_like(im)
     start = 0
@@ -62,48 +54,6 @@ def _vmul(coef: tuple, dims: tuple, re: np.ndarray, im: np.ndarray):
         out_im[:, start:stop] = acc_i.reshape(-1, n * n)
         start = stop
     return out_re, out_im
-
-
-def _score_nodes(problem: _Problem, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """``problem.score`` of every node (row of ``re``, ``im``)."""
-    worst = np.zeros(len(re))
-    for rule, si in problem.rules:
-        n = problem.dims[si]
-        o = problem.offsets[si]
-        if isinstance(rule, PhaseRule):
-            ref = complex(rule.reference)
-            dev = np.hypot(re[:, o] - ref.real, im[:, o] - ref.imag)
-        elif isinstance(rule, ColumnRule):
-            cols = [o + i * n + rule.input_index for i in range(n)]
-            total = 0.0
-            if rule.exact_value is not None:
-                for i, c in enumerate(cols):
-                    w = rule.exact_value * rule.target[i]
-                    total = total + np.float_power(
-                        np.hypot(re[:, c] - w.real, im[:, c] - w.imag), 2)
-                dev = np.float_power(total, 0.5)
-            else:
-                along_r = along_i = 0.0
-                for i, c in enumerate(cols):
-                    total = total + np.float_power(np.hypot(re[:, c], im[:, c]), 2)
-                    t = rule.target[i].conjugate()
-                    along_r = along_r + (t.real * re[:, c] - t.imag * im[:, c])
-                    along_i = along_i + (t.real * im[:, c] + t.imag * re[:, c])
-                along = np.hypot(along_r, along_i)
-                dev = np.float_power(np.maximum(0.0, total - along * along), 0.5)
-        else:
-            tr_r = tr_i = 0.0
-            for i in range(n):
-                for j in range(n):
-                    t = rule.target[i][j]
-                    # M[i, j].conjugate() * t
-                    mr, mi = re[:, o + i * n + j], -im[:, o + i * n + j]
-                    tr_r = tr_r + (mr * t.real - mi * t.imag)
-                    tr_i = tr_i + (mr * t.imag + mi * t.real)
-            dev = np.float_power(
-                np.maximum(0.0, 1.0 - np.hypot(tr_r, tr_i) / n), 0.5)
-        np.maximum(worst, dev, out=worst)
-    return worst
 
 
 def _round12(x: np.ndarray) -> np.ndarray:
@@ -200,7 +150,7 @@ class _Walk:
         self.visited = [0] * (length + 1)
         self.seconds = [0.0] * (length + 1)
         self.scores = [float("inf")] * (length + 1)
-        self.best = _Best()
+        self.best = None  # (score, letters) of the best word by _rank
 
     def _arrangement_id(self, arr: tuple) -> int:
         if arr not in self._ids:
@@ -209,8 +159,8 @@ class _Walk:
         return self._ids[arr]
 
     def outgoing(self, a: int) -> list:
-        """(move index, next arrangement id, coefficients) per letter
-        available from arrangement ``a``, in canonical order."""
+        """(move index, next arrangement id, per-sector (G.real, G.imag))
+        per letter available from arrangement ``a``, in canonical order."""
         hit = self._outgoing.get(a)
         if hit is None:
             problem = self.problem
@@ -224,17 +174,17 @@ class _Walk:
                 new_arr, gens = problem.transition(arr, p, e)
                 hit.append((self.letters.index((p, e)),
                             self._arrangement_id(new_arr),
-                            _coefficients(gens, problem.dims)))
+                            tuple((G.real, G.imag) for G in gens)))
             self._outgoing[a] = hit
         return hit
 
     def root(self) -> _Level:
-        flat = [z for M in self.problem.initial_state for z in M]
+        """The empty word: identity sector matrices."""
+        problem = self.problem
+        re, im = problem.rows([[np.eye(n) for n in problem.dims]])
         one = np.zeros(1, dtype=np.int32)
-        return _Level(one + self._arrangement_id(self.problem.initial_arr),
-                      one - 1, one - 1, one,
-                      np.array([[z.real for z in flat]]),
-                      np.array([[z.imag for z in flat]]))
+        return _Level(one + self._arrangement_id(problem.initial_arr),
+                      one - 1, one - 1, one, re, im)
 
     def expand(self, level: _Level, only_final: bool = False):
         """(children of every node in lex order, number of children).
@@ -284,7 +234,8 @@ class _Walk:
         self.seconds[depth] += time.perf_counter() - t0
         if winner is not None:
             self.scores[depth] = min(self.scores[depth], winner[0])
-            self.best.offer(*winner)
+            if self.best is None or _rank(*winner) < _rank(*self.best):
+                self.best = winner
 
     def winner(self, level: _Level, mask=None):
         """(score, letters) of the lex-first best node in the final
@@ -295,7 +246,7 @@ class _Walk:
         index = np.flatnonzero(hit)
         if not len(index):
             return None
-        scores = _score_nodes(self.problem, level.re[index], level.im[index])
+        scores = self.problem.score(level.re[index], level.im[index])
         i = int(np.argmin(scores))  # first minimum: the lex-smallest word
         return float(scores[i]), self.word(level, int(index[i]))
 
@@ -356,12 +307,12 @@ def worker_job(k: int, target: SynthesisTarget, config: SearchConfig,
     problem = _Problem(model, target, config)
     walk = _Walk(problem)
     t0 = time.perf_counter()
+    level = walk.root()
     if worker == 0 and problem.initial_arr == problem.final_arr:
-        walk.tally(0, 0, (problem.score(problem.initial_state), ()), t0)
+        walk.tally(0, 0, (float(problem.score(level.re, level.im)[0]), ()), t0)
 
     # Depths up to the prefixes: the full tree, so that every prefix is
     # reached, with the stub's nodes as a mask over it.
-    level = walk.root()
     walk.keep(0, level)
     stub = np.ones(1, dtype=bool)  # nodes the stub's seen set lets through
     for depth in range(1, prefix_depth + 1):
@@ -390,7 +341,7 @@ def worker_job(k: int, target: SynthesisTarget, config: SearchConfig,
         nodes += walk.visited[depth]
         best = min(best, walk.scores[depth])
         rows.append((depth, best, nodes, walk.visited[depth], walk.seconds[depth]))
-    return (walk.best.score, walk.best.length, walk.best.letters), rows
+    return walk.best, rows
 
 
 def worker_job_star(args):

@@ -242,15 +242,18 @@ def cmd_synth(config: JobConfig) -> int:
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def _load_component(model: AnyonModel, path: Path):
-    """Stored braid -> re-scored SynthesisResult, cross-checked at 1e-12."""
+def _read_braid(path: Path) -> dict:
+    """A stored braid file's payload; a file that cannot be read is a
+    usage error."""
     try:
-        payload = read_braid_file(path)
+        return read_braid_file(path)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read braid file {path}: {exc}")
-    if payload["k"] != model.k:
-        raise UsageError(f"{path} was synthesized for k={payload['k']}, "
-                         f"not k={model.k}")
+
+
+def _load_component(model: AnyonModel, path: Path, payload: dict):
+    """Stored braid (read by ``_read_braid``) -> re-scored SynthesisResult,
+    cross-checked at 1e-12."""
     target, braid = result_from_payload(model, payload)
     result = score_braid(model, target, braid)
     drift = abs(result.distance - payload["distance"])
@@ -264,19 +267,16 @@ def _load_component(model: AnyonModel, path: Path):
 def cmd_assemble(config: JobConfig) -> int:
     if not config.components:
         raise UsageError("assemble needs component braid files")
-    ks = set()
-    for path in config.components:
-        try:
-            ks.add(read_braid_file(path)["k"])
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read braid file {path}: {exc}")
+    payloads = [(path, _read_braid(path)) for path in config.components]
+    ks = {payload["k"] for _, payload in payloads}
     if len(ks) > 1:
         raise UsageError(f"component files disagree on k: {sorted(ks)}")
     k = ks.pop()
     if config.k is not None and config.k != k:
         raise UsageError(f"--k {config.k} contradicts component files (k={k})")
     model = AnyonModel(k)
-    loaded = dict(_load_component(model, path) for path in config.components)
+    loaded = dict(_load_component(model, path, payload)
+                  for path, payload in payloads)
 
     def pick(name: str):
         if name not in loaded:
@@ -316,11 +316,7 @@ def cmd_assemble(config: JobConfig) -> int:
 
 
 def cmd_verify(config: JobConfig) -> int:
-    path = config.components[0]
-    try:
-        payload = read_braid_file(path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read braid file {path}: {exc}")
+    payload = _read_braid(config.components[0])
     model = AnyonModel(payload["k"])
     target, braid = result_from_payload(model, payload)
     result = score_braid(model, target, braid)

@@ -112,32 +112,6 @@ class CodeSpace:
         idx = list(self.computational_indices)
         return code_frame_matrix[np.ix_(idx, idx)]
 
-    def export_payload(self) -> dict:
-        return {
-            "k": self.k,
-            "scheme": self.layout.scheme,
-            "leaves": list(self.basis.leaves),
-            "blocks": [list(b) for b in self.grouping.blocks],
-            "qubit_blocks": list(self.layout.qubit_blocks),
-            "computational": [
-                {"bits": list(bits), "index": idx, "label": _label_payload(self.grouped, idx)}
-                for bits, idx in self.computational
-            ],
-            "non_computational": [
-                {"index": idx, "label": _label_payload(self.grouped, idx)}
-                for idx in self.non_computational
-            ],
-        }
-
-
-def _label_payload(grouped: GroupedBasis, idx: int) -> dict:
-    label = grouped.labels[idx]
-    return {
-        "block_charges": list(label.block_charges),
-        "coarse": list(label.coarse),
-        "block_internals": [list(t) for t in label.block_internals],
-    }
-
 
 @dataclass(frozen=True)
 class LeakageReport:

@@ -69,12 +69,6 @@ class FMatrix:
     cols: tuple[int, ...]
     matrix: np.ndarray
 
-    def entry(self, e: int, f: int) -> float:
-        """Coefficient for (ab) channel e and (bc) channel f (0 if absent)."""
-        if e not in self.rows or f not in self.cols:
-            return 0.0
-        return float(self.matrix[self.rows.index(e), self.cols.index(f)])
-
 
 class SymbolCache:
     """One level's symbol table and everything derived from it.
@@ -180,11 +174,6 @@ class AnyonModel:
     def charges(self) -> tuple[int, ...]:
         """All twice-spin charge labels, vacuum first."""
         return tuple(range(self.k + 1))
-
-    @property
-    def deformation_angle(self) -> float:
-        """pi / (k+2), the angle entering every q-integer."""
-        return math.pi / (self.k + 2)
 
     def check_charge(self, a: int) -> int:
         if not isinstance(a, (int, np.integer)) or isinstance(a, bool):

@@ -31,7 +31,6 @@ from .model import AnyonModel
 __all__ = [
     "FusionTree",
     "FusionBasis",
-    "StateVector",
     "Grouping",
     "GroupedLabel",
     "GroupedBasis",
@@ -82,27 +81,6 @@ class FusionBasis:
             return self._positions[tree]
         except KeyError:
             raise KeyError(f"tree {tree} not in basis") from None
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Amplitudes over a FusionBasis; unit norm within 1e-12."""
-
-    basis: FusionBasis
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.basis.dim,):
-            raise ValueError(f"expected {self.basis.dim} amplitudes, got {amps.shape}")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
-            raise ValueError("state vector is not normalized")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def apply(self, matrix: np.ndarray, basis: FusionBasis | None = None) -> "StateVector":
-        """Apply a unitary; the result lives in ``basis`` (default: same)."""
-        return StateVector(basis or self.basis, matrix @ self.amplitudes)
 
 
 def enumerate_basis(model: AnyonModel, leaves: tuple[int, ...], total: int) -> FusionBasis:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -336,16 +336,6 @@ class SearchStats:
     def add(self, length: int, best: float, nodes: int, frontier: int, seconds: float):
         self.rows.append((length, best, nodes, frontier, seconds))
 
-    def row(self, length: int) -> tuple:
-        for entry in self.rows:
-            if entry[0] == length:
-                return entry
-        raise KeyError(f"no row for length {length}")
-
-    def nodes_at_depth(self, length: int) -> int:
-        """Number of words of exactly this length visited."""
-        return self.row(length)[3]
-
 
 @dataclass(frozen=True)
 class SynthesisResult:
@@ -520,64 +510,16 @@ def make_target_unitary(model: AnyonModel, matrix: np.ndarray,
 
 # --- search core -------------------------------------------------------
 
-def _flat(matrix: np.ndarray) -> tuple:
-    return tuple(complex(z) for z in np.asarray(matrix).ravel())
-
-
-def _flat_mul(G: tuple, M: tuple, n: int) -> tuple:
-    if n == 1:
-        return (G[0] * M[0],)
-    if n == 2:
-        a, b, c, d = G
-        e, f, g, h = M
-        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0j
-            for t in range(n):
-                acc += G[i * n + t] * M[t * n + j]
-            out.append(acc)
-    return tuple(out)
-
-
-def _rule_deviation(rule, M: tuple, n: int) -> float:
-    """Deviation of one flat sector matrix from one rule.
-
-    Sums run left to right from zero in explicit loops (``sum`` of floats is
-    compensated from CPython 3.12 on), so ``_frontier._score_nodes`` can
-    repeat every operation in the same order and agree to the last bit.
-    """
-    if isinstance(rule, PhaseRule):
-        return abs(M[0] - rule.reference)
-    if isinstance(rule, ColumnRule):
-        col = [M[i * n + rule.input_index] for i in range(n)]
-        if rule.exact_value is not None:
-            total = 0.0
-            for i in range(n):
-                total += abs(col[i] - rule.exact_value * rule.target[i]) ** 2
-            return total ** 0.5
-        return _column_leak(rule, col)
-    tr = 0.0j
-    for i in range(n):
-        for j in range(n):
-            tr += M[i * n + j].conjugate() * rule.target[i][j]
-    return max(0.0, 1.0 - abs(tr) / n) ** 0.5
-
-
-def _column_leak(rule: ColumnRule, col) -> float:
-    """Norm of the column component orthogonal to the target direction."""
-    total = 0.0
-    along = 0.0j
-    for i, z in enumerate(col):
-        total += abs(z) ** 2
-        along += rule.target[i].conjugate() * z
-    along = abs(along)
-    return max(0.0, total - along * along) ** 0.5
-
-
 class _Problem:
-    """Per-worker search context: sector tracking and move generation."""
+    """Per-worker search context: move generation, sector generators from
+    the symbol table, and the one rule scorer.
+
+    A state is one row of ``re`` and one of ``im``: each scored sector's
+    n x n matrix flat, sector after sector.  The scorer works on many rows
+    at once in float64 ufuncs (``np.hypot`` for ``abs``, ``np.float_power``
+    for ``**``), summing left to right from zero; ``test_search_core``
+    checks it bit for bit against complex scalar arithmetic.
+    """
 
     def __init__(self, model: AnyonModel, target: SynthesisTarget, config: SearchConfig):
         self.model = model
@@ -591,12 +533,10 @@ class _Problem:
         self.sectors = tuple(sorted({r.sector for r in scored}))
         sector_pos = {s: i for i, s in enumerate(self.sectors)}
         self.dims = tuple(enumerate_basis(model, s, 0).dim for s in self.sectors)
-        # First flat column of each sector in a batched state row.
+        # First flat column of each sector in a state row.
         self.offsets = tuple(sum(d * d for d in self.dims[:i])
                              for i in range(len(self.dims)))
         self.rules = tuple((rule, sector_pos[rule.sector]) for rule in scored)
-        self.initial_state = tuple(_flat(np.eye(d)) for d in self.dims)
-        self._transitions: dict = {}
 
     def moves(self, pos: int):
         """Canonical-order letters available to the mobile block at ``pos``."""
@@ -618,70 +558,83 @@ class _Problem:
         return out
 
     def transition(self, arr: tuple, pos: int, exp: int):
-        key = (arr, pos, exp)
-        hit = self._transitions.get(key)
-        if hit is not None:
-            return hit
+        """The arrangement after letter (pos, exp) from ``arr``, and the
+        letter's generator on each sector (built once per symbol table)."""
         i = pos - 1
         new_arr = arr[:i] + (arr[i + 1], arr[i]) + arr[i + 2:]
-        gens = []
-        for sector in self.sectors:
-            charges = tuple(sector[b] for b in arr)
-            basis = enumerate_basis(self.model, charges, 0)
-            if exp == 1:
-                G = braid_generator(self.model, basis, pos)
-            else:
-                G = inverse_braid_generator(self.model, basis, pos)
-            gens.append(_flat(G))
-        entry = (new_arr, tuple(gens))
-        self._transitions[key] = entry
-        return entry
+        step = braid_generator if exp == 1 else inverse_braid_generator
+        gens = tuple(step(self.model, enumerate_basis(
+                         self.model, tuple(sector[b] for b in arr), 0), pos)
+                     for sector in self.sectors)
+        return new_arr, gens
 
-    def score(self, state: tuple) -> float:
-        """Worst rule deviation."""
-        worst = 0.0
-        for rule, si in self.rules:
-            dev = _rule_deviation(rule, state[si], self.dims[si])
-            if dev > worst:
-                worst = dev
+    def rows(self, states) -> tuple[np.ndarray, np.ndarray]:
+        """(re, im) rows of states given as per-sector matrices."""
+        flat = np.array([[z for M in state for z in np.ravel(M)] for state in states],
+                        dtype=np.complex128)
+        return flat.real, flat.imag
+
+    def deviations(self, re: np.ndarray, im: np.ndarray, rules) -> list:
+        """Per (rule, sector index) of ``rules``, its deviation on every row."""
+        out = []
+        for rule, si in rules:
+            n = self.dims[si]
+            o = self.offsets[si]
+            if isinstance(rule, PhaseRule):
+                ref = complex(rule.reference)
+                dev = np.hypot(re[:, o] - ref.real, im[:, o] - ref.imag)
+            elif isinstance(rule, ColumnRule):
+                cols = [o + i * n + rule.input_index for i in range(n)]
+                total = 0.0
+                if rule.exact_value is not None:
+                    for i, c in enumerate(cols):
+                        w = rule.exact_value * rule.target[i]
+                        total = total + np.float_power(
+                            np.hypot(re[:, c] - w.real, im[:, c] - w.imag), 2)
+                    dev = np.float_power(total, 0.5)
+                else:
+                    # Norm of the column's part orthogonal to the target.
+                    along_r = along_i = 0.0
+                    for i, c in enumerate(cols):
+                        total = total + np.float_power(np.hypot(re[:, c], im[:, c]), 2)
+                        t = rule.target[i].conjugate()
+                        along_r = along_r + (t.real * re[:, c] - t.imag * im[:, c])
+                        along_i = along_i + (t.real * im[:, c] + t.imag * re[:, c])
+                    along = np.hypot(along_r, along_i)
+                    dev = np.float_power(np.maximum(0.0, total - along * along), 0.5)
+            else:
+                tr_r = tr_i = 0.0
+                for i in range(n):
+                    for j in range(n):
+                        t = rule.target[i][j]
+                        # M[i, j].conjugate() * t
+                        mr, mi = re[:, o + i * n + j], -im[:, o + i * n + j]
+                        tr_r = tr_r + (mr * t.real - mi * t.imag)
+                        tr_i = tr_i + (mr * t.imag + mi * t.real)
+                dev = np.float_power(
+                    np.maximum(0.0, 1.0 - np.hypot(tr_r, tr_i) / n), 0.5)
+            out.append(dev)
+        return out
+
+    def score(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        """Worst rule deviation of every row."""
+        worst = np.zeros(len(re))
+        for dev in self.deviations(re, im, self.rules):
+            np.maximum(worst, dev, out=worst)
         return worst
 
-    def deviations(self, state: tuple) -> list:
-        return [(rule, _rule_deviation(rule, state[si], self.dims[si]))
-                for rule, si in self.rules]
 
-
-def _letter_key(letters) -> tuple:
-    return tuple((p, 0 if e == 1 else 1) for p, e in letters)
-
-
-class _Best:
-    __slots__ = ("score", "length", "letters")
-
-    def __init__(self):
-        self.score = float("inf")
-        self.length = -1
-        self.letters = ()
-
-    def offer(self, score: float, letters: tuple) -> None:
-        if self.length < 0:
-            self.score, self.length, self.letters = score, len(letters), tuple(letters)
-            return
-        cand = (score, len(letters), _letter_key(letters))
-        cur = (self.score, self.length, _letter_key(self.letters))
-        if cand < cur:
-            self.score, self.length, self.letters = score, len(letters), tuple(letters)
+def _rank(score: float, letters: tuple) -> tuple:
+    """Order of candidate words: score, then length, then letters with
+    each position's + before its -."""
+    return score, len(letters), tuple((p, 0 if e == 1 else 1) for p, e in letters)
 
 
 def _replay(problem: _Problem, letters: tuple) -> tuple:
-    """The sector state after ``letters``, one letter at a time."""
-    arr = problem.initial_arr
-    state = problem.initial_state
-    for p, e in letters:
-        arr, gens = problem.transition(arr, p, e)
-        state = tuple(_flat_mul(g, m, n)
-                      for g, m, n in zip(gens, state, problem.dims))
-    return state
+    """Each scored sector's coarse matrix after ``letters``."""
+    word = BraidWord(problem.block_count, letters)
+    return tuple(evaluate(problem.model, enumerate_basis(problem.model, sector, 0), word)
+                 for sector in problem.sectors)
 
 
 def _merge_rows(all_rows: list) -> SearchStats:
@@ -725,12 +678,10 @@ def search(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(worker_job_star, args))
-    bests = [(score, length, _letter_key(letters), letters)
-             for (score, length, letters), _ in outcomes if length >= 0]
+    bests = [best for best, _ in outcomes if best is not None]
     if not bests:
         raise RuntimeError("no candidate word reached the final arrangement")
-    bests.sort(key=lambda entry: entry[:3])
-    letters = bests[0][3]
+    letters = min(bests, key=lambda best: _rank(*best))[1]
     stats = _merge_rows([rows for _, rows in outcomes])
     stats.wall_seconds = time.perf_counter() - start
     word = BraidWord(target.block_count, letters)
@@ -759,32 +710,28 @@ def _finish(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
             word: BraidWord, stats: SearchStats) -> SynthesisResult:
     """Re-verify the chosen word on the full space and build the result."""
     problem = _Problem(model, target, config)
-    incremental = problem.score(_replay(problem, word.letters))
-
     coarse = _coarse_from_full(model, target, word)
-    full_state = tuple(_flat(coarse[s]) for s in problem.sectors)
-    full_score = problem.score(full_state)
+    re, im = problem.rows([_replay(problem, word.letters),
+                           [coarse[s] for s in problem.sectors]])
+    incremental, full_score = problem.score(re, im).tolist()
     if abs(full_score - incremental) > 1e-12:
         raise ConsistencyError(
             f"coarse tracking ({incremental}) and full-space evaluation "
             f"({full_score}) disagree")
 
-    leak = 0.0
-    phase_dev = 0.0
-    matrix_dev = 0.0
-    for rule, dev in problem.deviations(full_state):
+    re, im = re[1:], im[1:]
+    phase_dev = matrix_dev = 0.0
+    for (rule, _), dev in zip(problem.rules, problem.deviations(re, im, problem.rules)):
         if isinstance(rule, PhaseRule):
-            phase_dev = max(phase_dev, dev)
-            continue
-        matrix_dev = max(matrix_dev, dev)
-        if isinstance(rule, ColumnRule):
-            si = problem.sectors.index(rule.sector)
-            n = problem.dims[si]
-            M = full_state[si]
-            col = [M[i * n + rule.input_index] for i in range(n)]
-            leak = max(leak, _column_leak(rule, col))
+            phase_dev = max(phase_dev, float(dev[0]))
+        else:
+            matrix_dev = max(matrix_dev, float(dev[0]))
     converged = (matrix_dev <= config.tolerance
                  and phase_dev <= config.phase_tolerance)
+    # Leakage: the part of each designated column off its target direction.
+    leaks = [(replace(rule, exact_value=None), si) for rule, si in problem.rules
+             if isinstance(rule, ColumnRule)]
+    leak = max([0.0] + [float(dev[0]) for dev in problem.deviations(re, im, leaks)])
 
     phases: dict[tuple[int, ...], complex] = {}
     for sector, matrix in coarse.items():

@@ -222,3 +222,33 @@ def test_assemble_rejects_mixed_levels(capsys, tmp_path):
         "--out", str(p3))
     code, _, _ = run(capsys, "assemble", "--gate", "cz", str(p2), str(p3))
     assert code == 1
+
+
+def test_assemble_reads_each_component_once(capsys, tmp_path, monkeypatch):
+    paths = []
+    for name in ("B1", "P", "B3"):
+        path = tmp_path / f"{name}.json"
+        run(capsys, "synth", "--k", "3", "--target", name, "--max-length", "4",
+            "--out", str(path))
+        paths.append(str(path))
+    reads = []
+    read = cli.read_braid_file
+    monkeypatch.setattr(cli, "read_braid_file",
+                        lambda path: reads.append(path) or read(path))
+    code, _, _ = run(capsys, "assemble", "--gate", "ccz", *paths)
+    assert code in (0, 2)
+    assert sorted(map(str, reads)) == sorted(paths)
+
+
+def test_unreadable_braid_files_exit_1(capsys, tmp_path):
+    good = tmp_path / "p.json"
+    run(capsys, "synth", "--k", "3", "--target", "P", "--max-length", "4",
+        "--out", str(good))
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    missing = tmp_path / "missing.json"
+    for bad in (broken, missing):
+        code, _, err = run(capsys, "verify", str(bad))
+        assert code == 1 and "cannot read braid file" in err
+        code, _, err = run(capsys, "assemble", "--gate", "cz", str(good), str(bad))
+        assert code == 1 and "cannot read braid file" in err

@@ -22,9 +22,11 @@ from anyonforge import (
     synth,
 )
 from anyonforge import _frontier
+import make_finish_goldens
 from make_search_goldens import GOLDENS, record, run_case
 
 CASES = json.loads(GOLDENS.read_text())
+FINISH_CASES = json.loads(make_finish_goldens.GOLDENS.read_text())
 
 
 @pytest.mark.parametrize("key", list(CASES))
@@ -34,6 +36,17 @@ def test_search_goldens(key):
     want = CASES[key]
     got = record(run_case(tuple(want["case"])))
     assert got == {field: want[field] for field in ("letters", "distance", "rows")}
+
+
+@pytest.mark.parametrize("key", list(FINISH_CASES))
+def test_finish_goldens(key):
+    """Exact distance, leakage, convergence and one-dimensional sector
+    phases of ``score_braid`` on fixed words, frozen from the scalar
+    scoring route the batched scorer replaced."""
+    want = FINISH_CASES[key]
+    got = make_finish_goldens.record(make_finish_goldens.run_case(tuple(want["case"])))
+    assert got == {field: want[field]
+                   for field in ("distance", "leakage", "converged", "phases")}
 
 
 def test_rows_do_not_depend_on_the_length_limit(model3):
@@ -127,6 +140,10 @@ def _weave_word(draw, problem):
     return tuple(letters)
 
 
+def _flat(state) -> tuple:
+    return tuple(tuple(complex(z) for z in np.ravel(M)) for M in state)
+
+
 def _rows(states):
     flat = [[z for M in state for z in M] for state in states]
     return ([[z.real for z in row] for row in flat],
@@ -141,32 +158,84 @@ def _random_states(problem, rng, count):
             for _ in range(count)]
 
 
+# The scalar route the batched scorer replaced, kept as its oracle: complex
+# Python arithmetic on flat sector matrices, sums left to right from zero
+# in explicit loops (``sum`` of floats is compensated from CPython 3.12 on).
+
+def _flat_mul(G: tuple, M: tuple, n: int) -> tuple:
+    if n == 1:
+        return (G[0] * M[0],)
+    if n == 2:
+        a, b, c, d = G
+        e, f, g, h = M
+        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = 0.0j
+            for t in range(n):
+                acc += G[i * n + t] * M[t * n + j]
+            out.append(acc)
+    return tuple(out)
+
+
+def _rule_deviation(rule, M: tuple, n: int) -> float:
+    if isinstance(rule, PhaseRule):
+        return abs(M[0] - rule.reference)
+    if isinstance(rule, ColumnRule):
+        col = [M[i * n + rule.input_index] for i in range(n)]
+        total = 0.0
+        if rule.exact_value is not None:
+            for i in range(n):
+                total += abs(col[i] - rule.exact_value * rule.target[i]) ** 2
+            return total ** 0.5
+        along = 0.0j
+        for i, z in enumerate(col):
+            total += abs(z) ** 2
+            along += rule.target[i].conjugate() * z
+        along = abs(along)
+        return max(0.0, total - along * along) ** 0.5
+    tr = 0.0j
+    for i in range(n):
+        for j in range(n):
+            tr += M[i * n + j].conjugate() * rule.target[i][j]
+    return max(0.0, 1.0 - abs(tr) / n) ** 0.5
+
+
+def _scalar_score(problem, state: tuple) -> float:
+    worst = 0.0
+    for rule, si in problem.rules:
+        dev = _rule_deviation(rule, state[si], problem.dims[si])
+        if dev > worst:
+            worst = dev
+    return worst
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_batched_route_is_bit_exact(data):
-    """_vmul and _score_nodes equal _flat_mul and _Problem.score with
-    float ==, on random weave words and on random states, many nodes per
-    batch."""
+    """_vmul and _Problem.score equal the scalar route with float ==, on
+    random weave words and on random states, many nodes per batch."""
     problem = data.draw(_weave_problem())
     words = data.draw(st.lists(_weave_word(problem), min_size=1, max_size=5))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="states"))
-    states = ([synth._replay(problem, word) for word in words]
+    states = ([_flat(synth._replay(problem, word)) for word in words]
               + _random_states(problem, rng, 200))
     re, im = (np.array(part) for part in _rows(states))
-    assert _frontier._score_nodes(problem, re, im).tolist() == [
-        problem.score(state) for state in states]
+    assert problem.score(re, im).tolist() == [
+        _scalar_score(problem, state) for state in states]
 
     # One more letter for every node, batched and scalar.
     p, e = data.draw(st.sampled_from(problem.all_moves()))
     _, gens = problem.transition(problem.initial_arr, p, e)
-    coef = _frontier._coefficients(gens, problem.dims)
+    coef = tuple((G.real, G.imag) for G in gens)
     re, im = _frontier._vmul(coef, problem.dims, re, im)
-    states = [tuple(synth._flat_mul(g, M, n)
-                    for g, M, n in zip(gens, state, problem.dims))
+    states = [tuple(_flat_mul(g, M, n)
+                    for g, M, n in zip(_flat(gens), state, problem.dims))
               for state in states]
     assert (re.tolist(), im.tolist()) == _rows(states)
-    assert _frontier._score_nodes(problem, re, im).tolist() == [
-        problem.score(state) for state in states]
+    assert problem.score(re, im).tolist() == [
+        _scalar_score(problem, state) for state in states]
 
 
 # --- dedup key rounding ----------------------------------------------------
