@@ -201,16 +201,27 @@ def _load_unitary_target(model: AnyonModel, path: Path):
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read unitary target file {path}: {exc}")
-    if "matrix" not in data:
+    if type(data) is not dict or "matrix" not in data:
         raise UsageError(f"{path} has no 'matrix' entry")
+    unknown = sorted(set(data) - {"matrix", "name"})
+    if unknown:
+        raise UsageError(f"{path} has unknown keys {unknown}")
 
-    def as_complex(entry):
-        if isinstance(entry, list):
-            return complex(entry[0], entry[1])
-        return complex(entry)
+    def number(x) -> bool:
+        return type(x) in (int, float)
 
-    matrix = np.array([[as_complex(z) for z in row] for row in data["matrix"]])
-    name = data.get("name", path.stem)
+    def entry(z) -> bool:
+        return number(z) or (type(z) is list and len(z) == 2 and all(map(number, z)))
+
+    rows, name = data["matrix"], data.get("name", path.stem)
+    if type(rows) is not list or not all(
+            type(row) is list and all(map(entry, row)) for row in rows):
+        raise UsageError(f"{path}: 'matrix' must list rows of numbers or "
+                         "[re, im] pairs")
+    if type(name) is not str:
+        raise UsageError(f"{path}: 'name' must be a string")
+    matrix = np.array([[complex(*z) if type(z) is list else complex(z) for z in row]
+                       for row in rows])
     return make_target_unitary(model, matrix, name=name)
 
 

@@ -11,6 +11,7 @@ run-dependent quantity and therefore never appear in JSON.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import replace
 from pathlib import Path
@@ -129,11 +130,47 @@ def write_braid_file(path, result: SynthesisResult) -> None:
     Path(path).write_text(canonical_dumps(braid_payload(result)))
 
 
+def _ints(value) -> bool:
+    """A JSON list of integers (true and false are not integers here)."""
+    return type(value) is list and all(type(x) is int for x in value)
+
+
+def _number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def read_braid_file(path) -> dict:
+    """A braid file's payload.  Raises ValueError unless it holds exactly
+    the keys ``braid_payload`` writes, each with its JSON type."""
     payload = json.loads(Path(path).read_text())
-    for key in ("k", "leaves", "grouping", "word", "target", "distance"):
+    if type(payload) is not dict:
+        raise ValueError("braid file must hold a JSON object")
+    keys = ("k", "leaves", "grouping", "word", "target", "distance")
+    for key in keys:
         if key not in payload:
             raise ValueError(f"braid file missing key {key!r}")
+    unknown = sorted(set(payload) - set(keys) - {"target_matrix"})
+    if unknown:
+        raise ValueError(f"braid file has unknown keys {unknown}")
+    grouping, word = payload["grouping"], payload["word"]
+    matrix = payload.get("target_matrix", [])
+    wrong = [key for key, ok in (
+        ("k", type(payload["k"]) is int),
+        ("leaves", _ints(payload["leaves"])),
+        ("grouping", type(grouping) is list and all(map(_ints, grouping))),
+        ("word", type(word) is list
+         and all(type(letter) is list and len(letter) == 2 for letter in word)
+         and _ints([x for letter in word for x in letter])),
+        ("target", type(payload["target"]) is str),
+        ("distance", _number(payload["distance"])),
+        ("target_matrix", type(matrix) is list and all(
+            type(row) is list and all(
+                type(z) is list and len(z) == 2 and all(map(_number, z))
+                for z in row)
+            for row in matrix)),
+    ) if not ok]
+    if wrong:
+        raise ValueError(f"braid file has malformed {', '.join(wrong)}")
     return payload
 
 
@@ -141,6 +178,8 @@ def target_from_payload(model: AnyonModel, payload: dict) -> SynthesisTarget:
     """Rebuild the synthesis target a braid file was produced against."""
     name = payload["target"]
     leaves = tuple(payload["leaves"])
+    if len(leaves) < 2:
+        raise ValueError("stored leaves hold no code")
     charges = (leaves[0], leaves[1])
     if name in BUILTIN_TARGETS:
         target = BUILTIN_TARGETS[name](model, charges)

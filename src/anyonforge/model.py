@@ -31,7 +31,7 @@ and hexagon identities by ``verify_pentagon`` / ``verify_hexagon``.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,9 +73,11 @@ class FMatrix:
 class SymbolCache:
     """One level's symbol table and everything derived from it.
 
-    Holds the memoized F and R symbols, the fusion bases built by
-    ``spaces.enumerate_basis``, the braid generators built from the
-    symbols by ``spaces.braid_generator``, the regrouped frames built by
+    Holds the memoized F and R symbols, the flat F and R tables the
+    pentagon and hexagon checks read (``f_table``, ``r_table``: built once,
+    on first use), the fusion bases built by ``spaces.enumerate_basis``,
+    the braid generators built from the symbols by
+    ``spaces.braid_generator``, the regrouped frames built by
     ``spaces.regroup`` and the word steps of ``synth.evaluate_tracked``.
     ``steps`` maps (leaves, total, blocks, position, exponent) to the
     read-only matrix of that composite letter with the leaves and grouping
@@ -89,6 +91,8 @@ class SymbolCache:
         self.k = k
         self.f_symbols: dict[tuple[int, int, int, int], FMatrix] = {}
         self.r_symbols: dict[tuple[int, int, int], complex] = {}
+        self.f_table: _FTable | None = None
+        self.r_table: np.ndarray | None = None
         self.bases: dict = {}
         self.generators: dict = {}
         self.frames: dict = {}
@@ -98,42 +102,133 @@ class SymbolCache:
 # The clean table of each level, shared by every clean model of that level.
 _CLEAN_TABLES: dict[int, SymbolCache] = {}
 
+# Label tuples per batch of the pentagon and hexagon checks.  Every array a
+# batch allocates has about this many entries; a single (a, b, c, d, t)
+# whose tuples alone exceed it makes a batch of its own.
+_BATCH_ROWS = 1 << 13
 
-def _fan_out(k: int, columns: list, p, q) -> list:
-    """Repeat each row of the label arrays ``columns`` once per fusion
-    channel of p x q (arrays over the rows, or scalars) and append that
-    channel as a new column: a vectorized ``AnyonModel.fuse``."""
-    size = len(columns[0])
-    lo = np.zeros(size, dtype=np.int64) + np.abs(p - q)
-    count = (np.minimum(p + q, 2 * k - p - q) - lo) // 2 + 1
-    row = np.repeat(np.arange(size), count)
-    step = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
-    return [col[row] for col in columns] + [lo[row] + 2 * step]
+
+def _channels(k: int, a: int, b: int) -> range:
+    """Fusion channels of a x b, ascending, for labels known to be charges."""
+    return range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2)
+
+
+def _can_fuse(k: int, a: int, b: int, c: int) -> bool:
+    """``AnyonModel.can_fuse`` for labels known to be charges."""
+    return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b and a + b + c <= 2 * k
 
 
 def _admissible(k: int, a, b, c):
-    """Vectorized ``AnyonModel.can_fuse``."""
+    """Vectorized ``_can_fuse``."""
     return ((a + b + c) % 2 == 0) & (np.abs(a - b) <= c) & (c <= a + b) \
         & (a + b + c <= 2 * k)
 
 
-class _SparseTable:
-    """Vectorized reads of a {label tuple: value} table; absent tuples
-    read 0.  Memory grows with the entries, not with (k+1)**len(labels)."""
+def _fusion_counts(k: int) -> np.ndarray:
+    """N[a, b, c] = 1 when c is a fusion channel of a x b, else 0."""
+    return _admissible(k, *np.indices((k + 1,) * 3, dtype=np.int16)).astype(np.int16)
 
-    def __init__(self, k: int, entries: dict):
-        labels = np.array(list(entries)).T
-        self.dims = (k + 1,) * len(labels)
-        keys = np.ravel_multi_index(labels, self.dims)
-        order = np.argsort(keys)
-        self.keys = keys[order]
-        self.values = np.append(np.array(list(entries.values()))[order], 0)
 
-    def __call__(self, *labels):
-        key = np.ravel_multi_index(labels, self.dims)
-        pos = np.searchsorted(self.keys, key)
-        pos[self.keys.take(pos, mode="clip") != key] = len(self.keys)
-        return self.values[pos]
+def _runs(counts: np.ndarray):
+    """For runs of the given lengths laid end to end: the run of each entry
+    and its place within that run."""
+    run = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    first = (np.cumsum(counts) - counts).astype(np.int32)
+    return run, np.arange(len(run), dtype=np.int32) - first[run]
+
+
+def _span(k: int, *pairs):
+    """Per row of the label arrays: the lowest charge that is a fusion
+    channel of every (p, q) in ``pairs``, and how many such charges there
+    are (they step by 2).  The pairs of one row must agree in parity."""
+    lo = functools.reduce(np.maximum, [np.abs(p - q) for p, q in pairs])
+    hi = functools.reduce(np.minimum, [np.minimum(p + q, 2 * k - p - q) for p, q in pairs])
+    return lo, np.maximum((hi - lo) // 2 + 1, 0)
+
+
+def _fan_out(k: int, columns: list, *pairs) -> list:
+    """Repeat each row of the label arrays ``columns`` once per charge of
+    ``_span(k, *pairs)`` and append that charge as a new column: a
+    vectorized, intersected ``AnyonModel.fuse``."""
+    lo, count = _span(k, *pairs)
+    row, step = _runs(count)
+    return [col[row] for col in columns] + [lo[row] + 2 * step]
+
+
+def _pairs(keys: np.ndarray, right: np.ndarray):
+    """Join every left tree with every right tree of its key.  ``keys`` is
+    the key of every left tree, in runs; key i has ``right[i]`` right trees,
+    which lie in runs of the same key order.  Returns (key, left tree,
+    right tree) per pair."""
+    left_tree, place = _runs(right[keys])
+    key = keys[left_tree]
+    return key, left_tree, (np.cumsum(right) - right).astype(np.int32)[key] + place
+
+
+def _batches(left: np.ndarray, right: np.ndarray):
+    """The keys (flat indices) with left trees, ascending, with their right
+    tree counts, in batches that pair at most ``_BATCH_ROWS`` trees in all
+    (a single key over the budget makes a batch of its own)."""
+    keys = np.flatnonzero(left).astype(np.int32)
+    left, right = left[keys], right[keys]
+    ends = np.cumsum(left.astype(np.int64) * right)
+    start = 0
+    while start < len(keys):
+        done = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, done + _BATCH_ROWS, side="right"))
+        stop = max(stop, start + 1)
+        yield keys[start:stop], right[start:stop]
+        start = stop
+
+
+class _FTable:
+    """Every F coefficient of one symbol table in one flat array.
+
+    ``values`` opens with n + 1 zeros (n = k + 1); the blocks follow, each
+    row-major with one 0.0 before every row.  For block (a, b, c, d) at
+    ``s = ((a*n + b)*n + c)*n + d``, ``rows[s*n + e]`` is where its row e
+    starts in ``values`` (0 when e is no row channel) and ``cols[s*n + f]``
+    is 1 + the place of its column f (0, the row's leading zero, when f is
+    no column channel).  So F(a, b, c, d)[e, f] is
+    ``values[rows[s*n + e] + cols[s*n + f]]`` for any labels, and reads 0.0
+    for every absent one: three gathers per read, and (k+1)^5 int32 plus
+    int16 index entries.
+    """
+
+    def __init__(self, k: int, blocks: dict):
+        n = self.n = k + 1
+        if n ** 5 > np.iinfo(np.int32).max:
+            raise ValueError(f"k={k} is too large for the int32 index of the "
+                             "pentagon and hexagon checks")
+        # Per block: its position, first row and column channel, row and
+        # column counts.  Channels step by 2 from the first.
+        at, e0, f0, height, width = np.array(
+            [(self.at(*key), block.rows[0], block.cols[0], len(block.rows),
+              len(block.cols)) for key, block in blocks.items()],
+            dtype=np.int64).T
+        stride = width + 1
+        block, i = _runs(height)
+        starts = (n + 1 + np.cumsum(height * stride) - height * stride)[block] \
+            + i * stride[block]
+        self.rows = np.zeros(n ** 5, dtype=np.int32)
+        self.rows[at[block] + e0[block] + 2 * i] = starts
+        self.cols = np.zeros(n ** 5, dtype=np.int16)
+        block, j = _runs(width)
+        self.cols[at[block] + f0[block] + 2 * j] = j + 1
+        row, j = _runs(width[np.repeat(np.arange(len(at)), height)])
+        self.values = np.zeros(n + 1 + int(np.sum(height * stride)))
+        self.values[starts[row] + j + 1] = np.concatenate(
+            [block.matrix.ravel() for block in blocks.values()])
+        self.values.setflags(write=False)
+
+    def at(self, a, b, c, d):
+        """Block position s*n of F(a, b, c, d), per row of the label arrays."""
+        n = self.n
+        return (((a * n + b) * n + c) * n + d) * n
+
+    def __call__(self, at, e, f) -> np.ndarray:
+        """F[e, f] of the blocks at ``at`` (see ``at``); 0 where absent."""
+        return self.values.take(self.rows.take(at + e) + self.cols.take(at + f))
 
 
 class AnyonModel:
@@ -184,20 +279,12 @@ class AnyonModel:
 
     def fuse(self, a: int, b: int) -> tuple[int, ...]:
         """Admissible fusion channels of a x b, ascending."""
-        a = self.check_charge(a)
-        b = self.check_charge(b)
-        top = min(a + b, 2 * self.k - a - b)
-        return tuple(range(abs(a - b), top + 1, 2))
+        return tuple(_channels(self.k, self.check_charge(a), self.check_charge(b)))
 
     def can_fuse(self, a: int, b: int, c: int) -> bool:
         """True when c is an admissible channel of a x b."""
-        a, b = self.check_charge(a), self.check_charge(b)
-        c = self.check_charge(c)
-        return (
-            (a + b + c) % 2 == 0
-            and abs(a - b) <= c <= a + b
-            and a + b + c <= 2 * self.k
-        )
+        return _can_fuse(self.k, self.check_charge(a), self.check_charge(b),
+                         self.check_charge(c))
 
     def qdim(self, a: int) -> float:
         """Quantum dimension [a+1]."""
@@ -215,12 +302,14 @@ class AnyonModel:
         return math.sqrt(num / fact[(a + b + c) // 2 + 1])
 
     def _six_j(self, a: int, b: int, e: int, c: int, d: int, f: int) -> float:
-        """q-deformed {a/2 b/2 e/2; c/2 d/2 f/2}, twice-spin arguments."""
+        """q-deformed {a/2 b/2 e/2; c/2 d/2 f/2}, twice-spin arguments that
+        are known to be charges."""
+        k = self.k
         if not (
-            self.can_fuse(a, b, e)
-            and self.can_fuse(a, d, f)
-            and self.can_fuse(c, b, f)
-            and self.can_fuse(c, d, e)
+            _can_fuse(k, a, b, e)
+            and _can_fuse(k, a, d, f)
+            and _can_fuse(k, c, b, f)
+            and _can_fuse(k, c, d, e)
         ):
             return 0.0
         triads = [(a + b + e) // 2, (a + d + f) // 2, (c + b + f) // 2, (c + d + e) // 2]
@@ -254,8 +343,9 @@ class AnyonModel:
         if cached is not None:
             return cached
         a, b, c, d = key
-        rows = tuple(e for e in self.fuse(a, b) if self.can_fuse(e, c, d))
-        cols = tuple(f for f in self.fuse(b, c) if self.can_fuse(a, f, d))
+        k = self.k
+        rows = tuple(e for e in _channels(k, a, b) if _can_fuse(k, e, c, d))
+        cols = tuple(f for f in _channels(k, b, c) if _can_fuse(k, a, f, d))
         if not rows or not cols:
             raise ValueError(
                 f"no admissible channels for F(a={a}, b={b}, c={c}, d={d}) at k={self.k}"
@@ -307,24 +397,33 @@ class AnyonModel:
         self.symbols = table
 
     def precompute(self) -> None:
-        """Build every F and R symbol of this level into the symbol table."""
-        for a in self.charges:
-            for b in self.charges:
-                for e in self.fuse(a, b):
-                    self.r_symbol(a, b, e)
-                    for c in self.charges:
-                        for d in self.fuse(e, c):
-                            self.f_symbol(a, b, c, d)
+        """Build every F and R symbol of this level, and the flat tables
+        the consistency checks read, into the symbol table."""
+        self._f_table()
+        self._r_table()
 
-    def _f_entries(self) -> _SparseTable:
-        """Every F coefficient, read as F(a, b, c, d, e, f) -> F(a,b,c,d)[e,f]."""
-        self.precompute()
-        return _SparseTable(self.k, {
-            (a, b, c, d, e, f): block.matrix[i, j]
-            for (a, b, c, d), block in self.symbols.f_symbols.items()
-            for i, e in enumerate(block.rows)
-            for j, f in enumerate(block.cols)
-        })
+    def _f_table(self) -> _FTable:
+        """The symbol table's flat F table, built on first use."""
+        table = self.symbols.f_table
+        if table is None:
+            N = _fusion_counts(self.k)
+            keys = np.argwhere(np.einsum("abe,ecd->abcd", N, N)).tolist()
+            table = _FTable(self.k, {tuple(key): self.f_symbol(*key) for key in keys})
+            self.symbols.f_table = table
+        return table
+
+    def _r_table(self) -> np.ndarray:
+        """Every R symbol, flat at ``(a*n + b)*n + c`` (n = k + 1); 0 where c
+        is no channel of a x b.  Built on first use."""
+        table = self.symbols.r_table
+        if table is None:
+            n = self.k + 1
+            table = np.zeros(n ** 3, dtype=np.complex128)
+            for a, b, c in np.argwhere(_fusion_counts(self.k)).tolist():
+                table[(a * n + b) * n + c] = self.r_symbol(a, b, c)
+            table.setflags(write=False)
+            self.symbols.r_table = table
+        return table
 
     # -- consistency checks -------------------------------------------------
 
@@ -338,23 +437,48 @@ class AnyonModel:
 
         If ``tolerance`` is given and exceeded, raises ConsistencyError.
         """
-        F = self._f_entries()
-        k = self.k
-        worst = 0.0
+        F = self._f_table()
+        k, n = self.k, self.k + 1
+        N = _fusion_counts(k)
         # Either side can be nonzero only where both end trees
-        # (((ab)^x c)^y d)^t and (a (b (cd)^z)^u)^t are admissible; one
-        # (a, b, c) triple at a time keeps the arrays small at large k.
-        for a, b, c in itertools.product(self.charges, repeat=3):
-            d, x = _fan_out(k, [np.arange(k + 1)], a, b)
-            d, x, y = _fan_out(k, [d, x], x, c)
-            d, x, y, t = _fan_out(k, [d, x, y], y, d)
-            d, x, y, t, z = _fan_out(k, [d, x, y, t], c, d)
-            d, x, y, t, z, u = _fan_out(k, [d, x, y, t, z], b, z)
-            keep = _admissible(k, a, u, t)
-            d, x, y, t, z, u = (v[keep] for v in (d, x, y, t, z, u))
-            lhs = F(x, c, d, t, y, z) * F(a, b, z, t, x, u)
-            rhs = sum(F(a, b, c, y, x, w) * F(a, w, d, t, y, u) * F(b, c, d, u, w, z)
-                      for w in self.fuse(b, c))
+        # (((ab)^x c)^y d)^t and (a (b (cd)^z)^u)^t are admissible: every
+        # left tree of (a, b, c, d, t) meets every right tree of it.
+        left = np.einsum("abx,xcy,ydt->abcdt", N, N, N, optimize=True).ravel()
+        right = np.einsum("cdz,bzu,aut->abcdt", N, N, N, optimize=True).ravel()
+        worst = 0.0
+        for keys, nr in _batches(left, right):
+            a, b, c, d, t = (v.astype(np.int32) for v in np.unravel_index(keys, (n,) * 5))
+            # w runs over fuse(b, c).  Keys with more w channels come first,
+            # so the rows that take the j-th w term are always a prefix.
+            low, count = _span(k, (b, c))
+            order = np.argsort(-count, kind="stable")
+            nr, a, b, c, d, t, low, count = (
+                v[order] for v in (nr, a, b, c, d, t, low, count))
+            own = np.arange(len(keys), dtype=np.int32)
+            lkey, x = _fan_out(k, [own], (a, b))
+            lkey, x, y = _fan_out(k, [lkey, x], (x, c[lkey]), (d[lkey], t[lkey]))
+            rkey, z = _fan_out(k, [own], (c, d))
+            rkey, z, u = _fan_out(k, [rkey, z], (b[rkey], z), (a[rkey], t[rkey]))
+            key, lt, rt = _pairs(lkey, nr)
+            x, y, z, u = x[lt], y[lt], z[rt], u[rt]
+            # Block positions of F(x,c,d,t), F(a,b,z,t), F(a,b,c,y),
+            # F(b,c,d,u), and of F(a,w,d,t) less its w part.
+            n2 = n * n
+            xcdt = F.at(0, c, d, t)[key] + x * n2 * n2
+            abzt = F.at(a, b, 0, t)[key] + z * n2
+            abcy = F.at(a, b, c, 0)[key] + y * n
+            bcdu = F.at(b, c, d, 0)[key] + u * n
+            a0dt = F.at(a, 0, d, t)[key]
+            lhs = F(xcdt, y, z) * F(abzt, x, u)
+            # Terms add in ascending w from 0.0, the order of the sum over
+            # fuse(b, c), so no residual depends on the batching.
+            rhs = np.zeros(len(key))
+            low, row_count = low[key], count[key]
+            for j in range(count[0]):
+                on = slice(0, np.count_nonzero(row_count > j))
+                w = low[on] + 2 * j
+                rhs[on] += (F(abcy[on], x[on], w) * F(a0dt[on] + w * n2 * n, y[on], u[on])
+                            * F(bcdu[on], w, z[on]))
             worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
         if tolerance is not None and worst > tolerance:
             raise ConsistencyError(f"pentagon residual {worst:.3e} > {tolerance:.3e}")
@@ -370,23 +494,39 @@ class AnyonModel:
 
         and the same with every r conjugated (clockwise exchange).
         """
-        F = self._f_entries()
-        R = _SparseTable(self.k, self.symbols.r_symbols)
-        k = self.k
-        worst = 0.0
+        F = self._f_table()
+        R = self._r_table()
+        k, n = self.k, self.k + 1
+        N = _fusion_counts(k)
         # Either side can be nonzero only where (a c)^e b -> d and
         # a (b c)^g -> d are admissible.
-        for a, b in itertools.product(self.charges, repeat=2):
-            c = np.arange(k + 1)
-            c, e = _fan_out(k, [c], a, c)
-            c, e, d = _fan_out(k, [c, e], e, b)
-            c, e, d, g = _fan_out(k, [c, e, d], b, c)
-            keep = _admissible(k, a, g, d)
-            c, e, d, g = (v[keep] for v in (c, e, d, g))
+        left = np.einsum("ace,ebd->abcd", N, N).ravel()
+        right = np.einsum("bcg,agd->abcd", N, N).ravel()
+        worst = 0.0
+        for keys, nr in _batches(left, right):
+            a, b, c, d = (v.astype(np.int32) for v in np.unravel_index(keys, (n,) * 4))
+            # f runs over fuse(a, b); keys with more f channels come first.
+            low, count = _span(k, (a, b))
+            order = np.argsort(-count, kind="stable")
+            nr, a, b, c, d, low, count = (v[order] for v in (nr, a, b, c, d, low, count))
+            own = np.arange(len(keys), dtype=np.int32)
+            lkey, e = _fan_out(k, [own], (a, c), (b, d))
+            rkey, g = _fan_out(k, [own], (b, c), (a, d))
+            key, lt, rt = _pairs(lkey, nr)
+            e, g = e[lt], g[rt]
+            acbd = F.at(a, c, b, d)[key]
+            cabd, abcd = F.at(c, a, b, d)[key], F.at(a, b, c, d)[key]
+            # R positions of (c, a, .), (c, b, .) and (c, ., d).
+            ca, cb, cd = ((c * n + a) * n)[key], ((c * n + b) * n)[key], (c * n * n + d)[key]
+            low, row_count = low[key], count[key]
             for phase in (np.asarray, np.conj):
-                lhs = phase(R(c, a, e)) * F(a, c, b, d, e, g) * phase(R(c, b, g))
-                rhs = sum(F(c, a, b, d, e, f) * phase(R(c, f, d)) * F(a, b, c, d, f, g)
-                          for f in self.fuse(a, b))
+                lhs = phase(R[ca + e]) * F(acbd, e, g) * phase(R[cb + g])
+                rhs = np.zeros(len(key), dtype=np.complex128)
+                for j in range(count[0]):
+                    on = slice(0, np.count_nonzero(row_count > j))
+                    f = low[on] + 2 * j
+                    rhs[on] += (F(cabd[on], e[on], f) * phase(R[cd[on] + f * n])
+                                * F(abcd[on], f, g[on]))
                 worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
         if tolerance is not None and worst > tolerance:
             raise ConsistencyError(f"hexagon residual {worst:.3e} > {tolerance:.3e}")

@@ -85,12 +85,18 @@ class FusionBasis:
 
 def enumerate_basis(model: AnyonModel, leaves: tuple[int, ...], total: int) -> FusionBasis:
     """All left-comb trees over ``leaves`` with the given total charge."""
+    cache = model.symbols.bases
+    # Only valid labels are ever cached, so plain ints may look up first;
+    # anything else (bools and numpy ints among them) is validated first.
+    if type(total) is int and all(type(c) is int for c in leaves):
+        hit = cache.get((tuple(leaves), total))
+        if hit is not None:
+            return hit
     leaves = tuple(model.check_charge(c) for c in leaves)
     total = model.check_charge(total)
     if not leaves:
         raise ValueError("at least one leaf required")
     key = (leaves, total)
-    cache = model.symbols.bases
     hit = cache.get(key)
     if hit is not None:
         return hit

@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, stdout formats, file artifacts."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anyonforge import cli, synth
 from anyonforge.cli import main
@@ -252,3 +256,119 @@ def test_unreadable_braid_files_exit_1(capsys, tmp_path):
         assert code == 1 and "cannot read braid file" in err
         code, _, err = run(capsys, "assemble", "--gate", "cz", str(good), str(bad))
         assert code == 1 and "cannot read braid file" in err
+
+
+# --- malformed input files ------------------------------------------------------
+
+_TEXT = st.text(max_size=3)
+_INTS = st.lists(st.integers(), max_size=2)
+_OBJECT = st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9) | st.floats(allow_nan=False) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6)
+
+# Values of another JSON type than the one a field holds.  An int field
+# takes no float; a float field takes an int, and no list (a number in a
+# unitary matrix may also be written as an [re, im] pair).
+_WRONG_TYPE = {
+    int: st.floats(allow_nan=False) | st.booleans() | st.none() | _TEXT | _INTS | _OBJECT,
+    float: st.booleans() | st.none() | _TEXT | _OBJECT,
+    str: st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none() | _INTS,
+    list: st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none() | _TEXT
+    | _OBJECT,
+    dict: st.integers() | st.none() | _TEXT | _INTS,
+}
+
+
+def _paths(value, path=()):
+    """Every place in a JSON value, the value itself first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from _paths(inner, path + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@st.composite
+def _malformed(draw, payload, required, allowed):
+    """File text that truncates, mistypes or adds to a valid payload."""
+    kind = draw(st.sampled_from(["cut", "drop", "mistype", "extra"]))
+    if kind == "cut":
+        text = json.dumps(payload)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "drop":
+        key = draw(st.sampled_from(required))
+        return json.dumps({k: v for k, v in payload.items() if k != key})
+    if kind == "mistype":
+        path = draw(st.sampled_from(list(_paths(payload))))
+        new = draw(_WRONG_TYPE[type(_at(payload, path))])
+        return json.dumps(_replaced(payload, path, new))
+    key = draw(st.text(max_size=8).filter(lambda key: key not in allowed))
+    return json.dumps(dict(payload, **{key: draw(_JSON)}))
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A stored P braid, a stored NOT braid (it carries a target matrix) and
+    a unitary target file, as payloads; and a working directory."""
+    work = tmp_path_factory.mktemp("fuzz")
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        main(["synth", "--k", "3", "--target", "P", "--max-length", "2",
+              "--out", str(work / "p.json")])
+        (work / "not.json").write_text(json.dumps(
+            {"name": "NOT", "matrix": [[0.0, 1.0], [1.0, 0.0]]}))
+        main(["synth", "--k", "3", "--target", str(work / "not.json"),
+              "--max-length", "2", "--out", str(work / "notb.json")])
+    return {name: json.loads((work / f"{name}.json").read_text())
+            for name in ("p", "notb", "not")}, work
+
+
+def _exit_code(*argv):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main(list(argv))
+    assert "Traceback" not in sink.getvalue()
+    return code
+
+
+_BRAID_KEYS = ["k", "leaves", "grouping", "word", "target", "distance"]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_braid_files_exit_1(valid_inputs, data):
+    payloads, work = valid_inputs
+    payload = payloads[data.draw(st.sampled_from(["p", "notb"]))]
+    path = work / "bad.json"
+    path.write_text(data.draw(_malformed(
+        payload, _BRAID_KEYS, _BRAID_KEYS + ["target_matrix"])))
+    assert _exit_code("verify", str(path)) == 1
+    assert _exit_code("assemble", "--gate", "cz", str(path)) == 1
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_unitary_target_files_exit_1(valid_inputs, data):
+    payloads, work = valid_inputs
+    path = work / "bad-target.json"
+    path.write_text(data.draw(_malformed(payloads["not"], ["matrix"], ["matrix", "name"])))
+    assert _exit_code("synth", "--k", "3", "--target", str(path),
+                      "--max-length", "2") == 1

@@ -1,7 +1,9 @@
 """Fusion rules, quantum dimensions, F/R symbols, and consistency checks."""
 
 import cmath
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,3 +241,189 @@ def test_corrupted_models_do_not_share_a_table():
     clean = AnyonModel(3).symbols
     assert len({id(first.symbols), id(second.symbols), id(clean)}) == 3
     assert _sigma2_defect(second) > 2 * _sigma2_defect(first)
+
+
+# --- the batched checks against the per-triple loops they replaced -----------
+
+class _SparseTable:
+    """Test-only copy of the symbol reads the loop oracle below uses:
+    sorted keys and ``np.searchsorted``; absent tuples read 0."""
+
+    def __init__(self, k, entries):
+        labels = np.array(list(entries)).T
+        self.dims = (k + 1,) * len(labels)
+        keys = np.ravel_multi_index(labels, self.dims)
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        self.values = np.append(np.array(list(entries.values()))[order], 0)
+
+    def __call__(self, *labels):
+        key = np.ravel_multi_index(labels, self.dims)
+        pos = np.searchsorted(self.keys, key)
+        pos[self.keys.take(pos, mode="clip") != key] = len(self.keys)
+        return self.values[pos]
+
+
+def _loop_fan_out(k, columns, p, q):
+    size = len(columns[0])
+    lo = np.zeros(size, dtype=np.int64) + np.abs(p - q)
+    count = (np.minimum(p + q, 2 * k - p - q) - lo) // 2 + 1
+    row = np.repeat(np.arange(size), count)
+    step = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    return [col[row] for col in columns] + [lo[row] + 2 * step]
+
+
+def _loop_admissible(k, a, b, c):
+    return ((a + b + c) % 2 == 0) & (np.abs(a - b) <= c) & (c <= a + b) \
+        & (a + b + c <= 2 * k)
+
+
+def _loop_residuals(model):
+    """Test-only oracle: the pentagon and hexagon residuals as one small
+    numpy pipeline per (a, b, c) triple and per (a, b) pair, each identity's
+    sum written as ``sum()`` over the channels."""
+    k = model.k
+    for a, b in itertools.product(model.charges, repeat=2):
+        for e in model.fuse(a, b):
+            model.r_symbol(a, b, e)
+            for c in model.charges:
+                for d in model.fuse(e, c):
+                    model.f_symbol(a, b, c, d)
+    F = _SparseTable(k, {
+        (a, b, c, d, e, f): block.matrix[i, j]
+        for (a, b, c, d), block in model.symbols.f_symbols.items()
+        for i, e in enumerate(block.rows)
+        for j, f in enumerate(block.cols)
+    })
+    R = _SparseTable(k, model.symbols.r_symbols)
+    pentagon = 0.0
+    for a, b, c in itertools.product(model.charges, repeat=3):
+        d, x = _loop_fan_out(k, [np.arange(k + 1)], a, b)
+        d, x, y = _loop_fan_out(k, [d, x], x, c)
+        d, x, y, t = _loop_fan_out(k, [d, x, y], y, d)
+        d, x, y, t, z = _loop_fan_out(k, [d, x, y, t], c, d)
+        d, x, y, t, z, u = _loop_fan_out(k, [d, x, y, t, z], b, z)
+        keep = _loop_admissible(k, a, u, t)
+        d, x, y, t, z, u = (v[keep] for v in (d, x, y, t, z, u))
+        lhs = F(x, c, d, t, y, z) * F(a, b, z, t, x, u)
+        rhs = sum(F(a, b, c, y, x, w) * F(a, w, d, t, y, u) * F(b, c, d, u, w, z)
+                  for w in model.fuse(b, c))
+        pentagon = max(pentagon, float(np.abs(lhs - rhs).max(initial=0.0)))
+    hexagon = 0.0
+    for a, b in itertools.product(model.charges, repeat=2):
+        c = np.arange(k + 1)
+        c, e = _loop_fan_out(k, [c], a, c)
+        c, e, d = _loop_fan_out(k, [c, e], e, b)
+        c, e, d, g = _loop_fan_out(k, [c, e, d], b, c)
+        keep = _loop_admissible(k, a, g, d)
+        c, e, d, g = (v[keep] for v in (c, e, d, g))
+        for phase in (np.asarray, np.conj):
+            lhs = phase(R(c, a, e)) * F(a, c, b, d, e, g) * phase(R(c, b, g))
+            rhs = sum(F(c, a, b, d, e, f) * phase(R(c, f, d)) * F(a, b, c, d, f, g)
+                      for f in model.fuse(a, b))
+            hexagon = max(hexagon, float(np.abs(lhs - rhs).max(initial=0.0)))
+    return pentagon, hexagon
+
+
+@pytest.mark.parametrize("k, damaged", [(k, ()) for k in range(2, 9)] + [
+    (3, (1, 1, 1, 1)),
+    (4, (1, 2, 1, 2)),
+    (6, (2, 2, 2, 2)),
+    (7, (3, 4, 3, 4)),
+])
+def test_batched_checks_equal_the_loop_oracle_bit_for_bit(k, damaged):
+    model = AnyonModel(k)
+    if damaged:
+        model.corrupt_f_symbol(*damaged)
+    pentagon, hexagon = _loop_residuals(model)
+    if damaged:
+        assert pentagon > 1e-4
+    assert model.verify_pentagon() == pentagon
+    assert model.verify_hexagon() == hexagon
+
+
+def test_corrupted_model_builds_its_own_flat_table():
+    clean = AnyonModel(4)
+    clean.precompute()
+    table = clean.symbols.f_table
+    before = table.values.tobytes()
+    broken = AnyonModel(4)
+    broken.corrupt_f_symbol(1, 2, 1, 2, delta=1e-2)
+    assert broken.verify_pentagon() > 1e-4
+    own = broken.symbols.f_table
+    assert own is not table and own.values is not table.values
+    assert table.values.tobytes() == before
+    assert AnyonModel(4).symbols.f_table is table
+    # Same layout, one damaged coefficient.
+    changed = np.flatnonzero(own.values != table.values)
+    assert len(changed) == 1
+    assert own.values[changed[0]] == table.values[changed[0]] + 1e-2
+
+
+def test_pentagon_working_memory_is_bounded():
+    """Row batches of fixed size bound the check's own allocations at any
+    level: measured 2.8 MB at k=10, against 4.0 MB for the per-triple
+    loops that built a sorted copy of every coefficient per call."""
+    model = AnyonModel(10)
+    model.precompute()
+    tracemalloc.start()
+    try:
+        model.verify_pentagon()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
+
+
+# --- the Racah internals against the f_symbol they replaced ------------------
+
+def _public_triangle(model, a, b, c):
+    fact = model._qfact
+    num = fact[(-a + b + c) // 2] * fact[(a - b + c) // 2] * fact[(a + b - c) // 2]
+    return math.sqrt(num / fact[(a + b + c) // 2 + 1])
+
+
+def _public_six_j(model, a, b, e, c, d, f):
+    if not (model.can_fuse(a, b, e) and model.can_fuse(a, d, f)
+            and model.can_fuse(c, b, f) and model.can_fuse(c, d, e)):
+        return 0.0
+    triads = [(a + b + e) // 2, (a + d + f) // 2, (c + b + f) // 2, (c + d + e) // 2]
+    quads = [(a + b + c + d) // 2, (a + e + c + f) // 2, (b + e + d + f) // 2]
+    fact = model._qfact
+    total = 0.0
+    for z in range(max(triads), min(quads) + 1):
+        term = fact[z + 1]
+        if term == 0.0:
+            continue
+        for t in triads:
+            term /= fact[z - t]
+        for q in quads:
+            term /= fact[q - z]
+        total += -term if z % 2 else term
+    return (total * _public_triangle(model, a, b, e) * _public_triangle(model, a, d, f)
+            * _public_triangle(model, c, b, f) * _public_triangle(model, c, d, e))
+
+
+def _public_f_block(model, a, b, c, d):
+    """Test-only copy of ``f_symbol`` as it read labels through the public
+    ``fuse``/``can_fuse``, which validate every label again."""
+    rows = tuple(e for e in model.fuse(a, b) if model.can_fuse(e, c, d))
+    cols = tuple(f for f in model.fuse(b, c) if model.can_fuse(a, f, d))
+    sign = -1.0 if ((a + b + c + d) // 2) % 2 else 1.0
+    matrix = np.empty((len(rows), len(cols)), dtype=np.float64)
+    for i, e in enumerate(rows):
+        for j, f in enumerate(cols):
+            scale = math.sqrt(model._qint[e + 1] * model._qint[f + 1])
+            matrix[i, j] = sign * scale * _public_six_j(model, a, b, e, c, d, f)
+    return rows, cols, matrix
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_f_blocks_equal_the_public_label_route_bit_for_bit(k):
+    model = AnyonModel(k)
+    model.precompute()
+    assert model.symbols.f_symbols
+    for key, block in model.symbols.f_symbols.items():
+        rows, cols, matrix = _public_f_block(model, *key)
+        assert (block.rows, block.cols) == (rows, cols)
+        assert block.matrix.tobytes() == matrix.tobytes()

@@ -32,6 +32,22 @@ def test_six_half_spin_dimensions(model2, model3):
     assert enumerate_basis(AnyonModel(8), (1,) * 6, 0).dim == 5
 
 
+def test_basis_cache_hit_still_rejects_bad_labels(model3):
+    basis = enumerate_basis(model3, (1, 1), 0)
+    assert enumerate_basis(model3, [1, 1], 0) is basis
+    for leaves, total in (((True, 1), 0), ((1, 1), False), ((1, 9), 0),
+                          ((1, -1), 0), ((1, 1), 4), ((1.0, 1), 0)):
+        with pytest.raises(ValueError):
+            enumerate_basis(model3, leaves, total)
+
+
+def test_numpy_int_leaves_hit_the_basis_cache(model3):
+    basis = enumerate_basis(model3, (1, 2, 1), 0)
+    assert enumerate_basis(model3, (np.int64(1), np.int64(2), np.int64(1)),
+                           np.int64(0)) is basis
+    assert enumerate_basis(model3, np.array([1, 2, 1]), 0) is basis
+
+
 def test_basis_trees_lexicographic_and_valid(model3):
     basis = enumerate_basis(model3, (1,) * 6, 0)
     internals = [t.internals for t in basis.trees]

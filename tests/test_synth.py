@@ -152,6 +152,34 @@ def test_verify_braid_relations_clean(model3):
     assert verify_braid_relations(model3, (1, 1, 2, 1)) < 1e-12
 
 
+def _braid_relations_one_norm_at_a_time(model, leaves):
+    """Test-only oracle: the residual with one ``norm`` call per pair."""
+    n = len(leaves)
+    worst = 0.0
+    for total in model.charges:
+        basis = enumerate_basis(model, leaves, total)
+        if basis.dim == 0:
+            continue
+        pairs = [(((i, 1), (i + 1, 1), (i, 1)), ((i + 1, 1), (i, 1), (i + 1, 1)))
+                 for i in range(1, n - 1)]
+        pairs += [(((i, 1), (j, 1)), ((j, 1), (i, 1)))
+                  for i in range(1, n - 1) for j in range(i + 2, n)]
+        for left, right in pairs:
+            gap = (evaluate(model, basis, BraidWord(n, left))
+                   - evaluate(model, basis, BraidWord(n, right)))
+            worst = max(worst, float(np.linalg.norm(gap, ord=2)))
+    return worst
+
+
+@pytest.mark.parametrize("leaves", [(1, 1), (1, 2, 1), (1, 1, 2, 1), (2, 1, 1, 2, 1)])
+def test_braid_relation_norms_batch_bit_for_bit(leaves):
+    broken = AnyonModel(3)
+    broken.corrupt_f_symbol(1, 1, 1, 1)
+    for model in (AnyonModel(3), AnyonModel(5), broken):
+        assert verify_braid_relations(model, leaves) == \
+            _braid_relations_one_norm_at_a_time(model, leaves)
+
+
 # --- targets -------------------------------------------------------------
 
 def test_phase_target_structure(model3):
