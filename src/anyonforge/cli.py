@@ -6,6 +6,14 @@ Commands: ``model`` (charge list, fusion table, quantum dimensions),
 ``assemble`` (compose stored braids into a logical gate report) and
 ``verify`` (recompute a stored braid's numbers).
 
+Every command takes ``--out`` (where the JSON artifact goes, checked to be
+writable before any work) and ``--format`` (stdout as ``text`` or
+``json``; ``synth`` also prints its curve as ``csv``).  ``model``,
+``check``, ``basis`` and ``synth`` require the level ``--k``, from 2 to
+``MAX_LEVEL``; ``assemble`` and ``verify`` take it from their braid files.
+``--tol`` (``check``, ``synth``) and ``--phase-tol`` (``synth``) must be
+finite and positive.  A command given a flag it does not read exits 1.
+
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 search ran
 to its length budget without converging.  All machine output is canonical
 JSON (fixed key order, 17-significant-digit floats) so identical
@@ -18,20 +26,19 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .assemble import (AssemblyError, assemble_ccz, assemble_controlled_phase,
-                       convert_registers)
-from .codes import EncodingError
+from .assemble import assemble_ccz, assemble_controlled_phase, convert_registers
 from .files import (assembled_braid_payload, braid_payload, canonical_dumps,
                     curve_csv, gate_report_payload, read_braid_file,
-                    result_from_payload, write_braid_file, write_curve_csv)
-from .model import AnyonModel, ConsistencyError, DEFAULT_TOLERANCE
+                    result_from_payload, write_curve_csv)
+from .model import (AnyonModel, ConsistencyError, DEFAULT_PHASE_TOLERANCE,
+                    DEFAULT_TOLERANCE, MAX_LEVEL)
 from .spaces import enumerate_basis
 from .synth import (BUILTIN_TARGETS, SearchConfig, make_target_unitary,
                     score_braid, search, verify_braid_relations)
@@ -40,6 +47,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_NOT_CONVERGED = 3
+
+# How far a re-scored distance may drift from the stored one.
+_DRIFT_TOLERANCE = 1e-12
 
 
 class UsageError(ValueError):
@@ -64,64 +74,23 @@ def spin_label(charge: int) -> str:
     return str(charge // 2) if charge % 2 == 0 else f"{charge}/2"
 
 
-@dataclass(frozen=True)
-class JobConfig:
-    """Validated command parameters, mirrored from the flags."""
-
-    command: str
-    k: int | None = None
-    target: str | None = None
-    max_length: int = 8
-    tolerance: float = DEFAULT_TOLERANCE
-    phase_tolerance: float = 1e-9
-    weave_only: bool = True
-    workers: int = 1
-    out: Path | None = None
-    fmt: str = "text"
-    leaves: tuple[int, ...] = ()
-    total: int = 0
-    gate: str | None = None
-    direction: str | None = None
-    components: tuple[Path, ...] = ()
-    debug_corrupt: bool = False
-
-    def __post_init__(self):
-        if self.k is not None and self.k < 2:
-            raise UsageError(f"k must be at least 2, got {self.k}")
-        if self.workers < 1:
-            raise UsageError("workers must be at least 1")
-        if self.out is not None:
-            parent = self.out.parent if str(self.out.parent) else Path(".")
-            if not os.access(parent, os.W_OK):
-                raise UsageError(f"output path {self.out} is not writable")
-
-    def model(self) -> AnyonModel:
-        if self.k is None:
-            raise UsageError("--k is required for this command")
-        return AnyonModel(self.k)
-
-
-def _emit(config: JobConfig, payload: dict | None, text: str,
+def _emit(args: argparse.Namespace, payload: dict, text: str,
           csv: str | None = None) -> None:
     """stdout per --format; --out always receives the JSON artifact."""
-    if config.fmt == "json":
-        if payload is None:
-            raise UsageError("this command has no JSON form")
+    if args.format == "json":
         sys.stdout.write(canonical_dumps(payload))
-    elif config.fmt == "csv":
-        if csv is None:
-            raise UsageError("csv output is only available for synth curves")
+    elif args.format == "csv":
         sys.stdout.write(csv)
     else:
         print(text)
-    if config.out is not None and payload is not None:
-        config.out.write_text(canonical_dumps(payload))
+    if args.out is not None:
+        args.out.write_text(canonical_dumps(payload))
 
 
 # --- commands ------------------------------------------------------------
 
-def cmd_model(config: JobConfig) -> int:
-    model = config.model()
+def cmd_model(args: argparse.Namespace) -> int:
+    model = AnyonModel(args.k)
     charges = model.charges
     qdims = [model.qdim(a) for a in charges]
     fusion = [{"a": a, "b": b, "channels": list(model.fuse(a, b))}
@@ -141,13 +110,13 @@ def cmd_model(config: JobConfig) -> int:
         channels = " + ".join(spin_label(c) for c in entry["channels"])
         lines.append(f"  {spin_label(entry['a'])} x {spin_label(entry['b'])}"
                      f" = {channels}")
-    _emit(config, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 
 
-def cmd_check(config: JobConfig) -> int:
-    model = config.model()
-    if config.debug_corrupt:
+def cmd_check(args: argparse.Namespace) -> int:
+    model = AnyonModel(args.k)
+    if args.debug_corrupt:
         model.corrupt_f_symbol(1, 1, 1, 1)
     pentagon = model.verify_pentagon()
     hexagon = model.verify_hexagon()
@@ -157,29 +126,30 @@ def cmd_check(config: JobConfig) -> int:
             system = tuple(int(c) + 1 for c in leaves)
             braid = max(braid, verify_braid_relations(model, system))
     worst = max(pentagon, hexagon, braid)
-    passed = worst < config.tolerance
+    passed = worst < args.tol
     payload = {
         "k": model.k,
         "pentagon_residual": pentagon,
         "hexagon_residual": hexagon,
         "braid_relation_residual": braid,
-        "tolerance": config.tolerance,
+        "tolerance": args.tol,
         "passed": passed,
     }
     verdict = "PASS" if passed else "FAIL"
     text = (f"pentagon residual: {pentagon:.3e}\n"
             f"hexagon residual: {hexagon:.3e}\n"
             f"braid-relation residual: {braid:.3e}\n"
-            f"{verdict} (tolerance {config.tolerance:g})")
-    _emit(config, payload, text)
+            f"{verdict} (tolerance {args.tol:g})")
+    _emit(args, payload, text)
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def cmd_basis(config: JobConfig) -> int:
-    model = config.model()
-    if not config.leaves:
+def cmd_basis(args: argparse.Namespace) -> int:
+    model = AnyonModel(args.k)
+    if args.leaves is None:
         raise UsageError("--leaves is required (comma-separated spin labels)")
-    basis = enumerate_basis(model, config.leaves, config.total)
+    leaves = tuple(parse_spin(tok) for tok in args.leaves.split(","))
+    basis = enumerate_basis(model, leaves, parse_spin(args.total))
     payload = {
         "k": model.k,
         "leaves": list(basis.leaves),
@@ -192,7 +162,7 @@ def cmd_basis(config: JobConfig) -> int:
              f"with total {spin_label(basis.total)}:"]
     for tree in basis.trees:
         lines.append("  " + " ".join(str(c) for c in tree.internals))
-    _emit(config, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 
 
@@ -225,31 +195,32 @@ def _load_unitary_target(model: AnyonModel, path: Path):
     return make_target_unitary(model, matrix, name=name)
 
 
-def cmd_synth(config: JobConfig) -> int:
-    model = config.model()
-    if config.target is None:
-        raise UsageError("--target is required (P, B1, B3, E, or a unitary file)")
-    if config.target in BUILTIN_TARGETS:
-        target = BUILTIN_TARGETS[config.target](model)
+def cmd_synth(args: argparse.Namespace) -> int:
+    if args.out is not None and args.out.suffix == ".csv":
+        raise UsageError(f"--out {args.out} is where the curve CSV goes; "
+                         "give the JSON artifact another suffix")
+    model = AnyonModel(args.k)
+    if args.target in BUILTIN_TARGETS:
+        target = BUILTIN_TARGETS[args.target](model)
     else:
-        target = _load_unitary_target(model, Path(config.target))
-    search_config = SearchConfig(
-        max_length=config.max_length, tolerance=config.tolerance,
-        phase_tolerance=config.phase_tolerance, weave_only=config.weave_only)
-    result = search(model, target, search_config, workers=config.workers)
+        target = _load_unitary_target(model, Path(args.target))
+    config = SearchConfig(max_length=args.max_length, tolerance=args.tol,
+                          phase_tolerance=args.phase_tol,
+                          weave_only=args.weave_only)
+    result = search(model, target, config, workers=args.workers)
     payload = braid_payload(result)
     word = " ".join(f"s{p}{'+' if e > 0 else '-'}"
                     for p, e in result.braid.letters) or "(empty)"
     status = "converged" if result.converged else "not converged"
     text = (f"target {target.name} (k={model.k}), max length "
-            f"{config.max_length}\n"
+            f"{args.max_length}\n"
             f"best distance {result.distance!r} at length {len(result.braid)}"
             f" ({status})\n"
             f"leakage {result.leakage!r}\n"
             f"braid: {word}")
-    _emit(config, payload, text, csv=curve_csv(result.stats))
-    if config.out is not None:
-        write_curve_csv(config.out.with_suffix(".csv"), result.stats)
+    _emit(args, payload, text, csv=curve_csv(result.stats))
+    if args.out is not None:
+        write_curve_csv(args.out.with_suffix(".csv"), result.stats)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
@@ -262,49 +233,43 @@ def _read_braid(path: Path) -> dict:
         raise UsageError(f"cannot read braid file {path}: {exc}")
 
 
-def _load_component(model: AnyonModel, path: Path, payload: dict):
-    """Stored braid (read by ``_read_braid``) -> re-scored SynthesisResult,
-    cross-checked at 1e-12."""
+def _rescore(model: AnyonModel, payload: dict):
+    """A stored braid (read by ``_read_braid``) scored afresh: the result
+    and how far its distance drifts from the stored one."""
     target, braid = result_from_payload(model, payload)
     result = score_braid(model, target, braid)
-    drift = abs(result.distance - payload["distance"])
-    if drift > 1e-12:
-        raise ConsistencyError(
-            f"{path}: stored distance {payload['distance']!r} does not "
-            f"reproduce (recomputed {result.distance!r})")
-    return payload["target"], result
+    return result, abs(result.distance - payload["distance"])
 
 
-def cmd_assemble(config: JobConfig) -> int:
-    if not config.components:
-        raise UsageError("assemble needs component braid files")
-    payloads = [(path, _read_braid(path)) for path in config.components]
+def cmd_assemble(args: argparse.Namespace) -> int:
+    payloads = [(path, _read_braid(path)) for path in args.components]
     ks = {payload["k"] for _, payload in payloads}
     if len(ks) > 1:
         raise UsageError(f"component files disagree on k: {sorted(ks)}")
-    k = ks.pop()
-    if config.k is not None and config.k != k:
-        raise UsageError(f"--k {config.k} contradicts component files (k={k})")
-    model = AnyonModel(k)
-    loaded = dict(_load_component(model, path, payload)
-                  for path, payload in payloads)
+    model = AnyonModel(ks.pop())
+    loaded = {}
+    for path, payload in payloads:
+        result, drift = _rescore(model, payload)
+        if drift > _DRIFT_TOLERANCE:
+            raise ConsistencyError(
+                f"{path}: stored distance {payload['distance']!r} does not "
+                f"reproduce (recomputed {result.distance!r})")
+        loaded[payload["target"]] = result
 
     def pick(name: str):
         if name not in loaded:
-            raise UsageError(f"gate {config.gate} needs a {name} component; "
+            raise UsageError(f"gate {args.gate} needs a {name} component; "
                              f"got {sorted(loaded)}")
         return loaded[name]
 
-    if config.gate == "cz":
+    if args.gate == "cz":
         report = assemble_controlled_phase(model, pick("P"))
-    elif config.gate == "ccz":
+    elif args.gate == "ccz":
         report = assemble_ccz(model, pick("B1"), pick("P"), pick("B3"))
-    elif config.gate == "convert":
-        if config.direction not in ("merge", "split"):
-            raise UsageError("convert needs --direction merge or split")
-        report = convert_registers(model, config.direction, pick("E"))
     else:
-        raise UsageError(f"unknown gate {config.gate!r}")
+        if args.direction is None:
+            raise UsageError("convert needs --direction merge or split")
+        report = convert_registers(model, args.direction, pick("E"))
 
     payload = gate_report_payload(report)
     budget = ", ".join(f"{name} {dist:.6g}" for name, dist in
@@ -316,9 +281,9 @@ def cmd_assemble(config: JobConfig) -> int:
             f"braid length total: {report.braid_length_total}\n"
             f"bound satisfied: {report.bound_satisfied}; "
             f"trivial phases cancelled: {report.phases_cancelled}")
-    _emit(config, payload, text)
-    if config.out is not None:
-        braid_out = config.out.with_name(config.out.stem + ".braid.json")
+    _emit(args, payload, text)
+    if args.out is not None:
+        braid_out = args.out.with_name(args.out.stem + ".braid.json")
         braid_out.write_text(canonical_dumps(assembled_braid_payload(report)))
     if not report.bound_satisfied:
         print("composition bound violated", file=sys.stderr)
@@ -326,26 +291,26 @@ def cmd_assemble(config: JobConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: JobConfig) -> int:
-    payload = _read_braid(config.components[0])
+def cmd_verify(args: argparse.Namespace) -> int:
+    payload = _read_braid(args.braid)
     model = AnyonModel(payload["k"])
-    target, braid = result_from_payload(model, payload)
-    result = score_braid(model, target, braid)
-    drift = abs(result.distance - payload["distance"])
-    match = drift <= 1e-12
+    result, drift = _rescore(model, payload)
+    match = drift <= _DRIFT_TOLERANCE
+    name = result.target.name
     out = {
-        "target": target.name,
+        "target": name,
         "k": model.k,
         "stored_distance": payload["distance"],
         "recomputed_distance": result.distance,
         "drift": drift,
         "match": match,
     }
-    verdict = "verified within 1e-12" if match else "MISMATCH beyond 1e-12"
-    text = (f"target {target.name} (k={model.k}): stored "
+    verdict = (f"verified within {_DRIFT_TOLERANCE:g}" if match
+               else f"MISMATCH beyond {_DRIFT_TOLERANCE:g}")
+    text = (f"target {name} (k={model.k}): stored "
             f"{payload['distance']!r}, recomputed {result.distance!r}\n"
             f"{verdict}")
-    _emit(config, out, text)
+    _emit(args, out, text)
     return EXIT_OK if match else EXIT_VERIFY
 
 
@@ -358,6 +323,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _writable(text: str) -> Path:
+    """``--out``: a path in a directory this process may write to."""
+    path = Path(text)
+    if not os.access(path.parent, os.W_OK):
+        raise argparse.ArgumentTypeError(f"output path {path} is not writable")
+    return path
+
+
+def _tolerance(text: str) -> float:
+    """``--tol``, ``--phase-tol``: a finite positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return value
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process.  Usage and help output
@@ -366,80 +350,53 @@ def _build_parser() -> _Parser:
                      description="SU(2)_k anyon braid synthesis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, k_required=True):
-        p.add_argument("--k", type=int, default=None, required=False,
-                       help="model level (k >= 2)")
-        p.add_argument("--out", type=Path, default=None,
+    def command(name, summary, level=True, tol=False, formats=("json", "text")):
+        p = sub.add_parser(name, help=summary)
+        if level:
+            p.add_argument("--k", type=int, required=True,
+                           help=f"model level (2 <= k <= {MAX_LEVEL})")
+        p.add_argument("--out", type=_writable,
                        help="write the JSON artifact here")
-        p.add_argument("--format", dest="fmt", default="text",
-                       choices=("json", "csv", "text"),
-                       help="stdout format (default text)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
-                       help="matrix tolerance (default 1e-9)")
+        p.add_argument("--format", default="text", choices=formats,
+                       help="stdout format (default %(default)s)")
+        if tol:
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
+                           help="matrix tolerance (default %(default)g)")
+        return p
 
-    p_model = sub.add_parser("model", help="charges, fusion table, dimensions")
-    common(p_model)
+    command("model", "charges, fusion table, dimensions")
 
-    p_check = sub.add_parser("check", help="pentagon/hexagon/braid suites")
-    common(p_check)
+    p_check = command("check", "pentagon/hexagon/braid suites", tol=True)
     p_check.add_argument("--debug-corrupt", action="store_true",
                          help="damage one F block first (must then fail)")
 
-    p_basis = sub.add_parser("basis", help="fusion-tree basis listing")
-    common(p_basis)
+    p_basis = command("basis", "fusion-tree basis listing")
     p_basis.add_argument("--leaves", type=str, default=None,
                          help="comma-separated spin labels, e.g. 1/2,1/2,1")
     p_basis.add_argument("--total", type=str, default="0",
                          help="total charge spin label (default 0)")
 
-    p_synth = sub.add_parser("synth", help="search for a braid realizing a target")
-    common(p_synth)
-    p_synth.add_argument("--target", type=str, default=None,
+    p_synth = command("synth", "search for a braid realizing a target", tol=True,
+                      formats=("json", "csv", "text"))
+    p_synth.add_argument("--target", type=str, required=True,
                          help="P, B1, B3, E, or a single-qubit unitary JSON file")
     p_synth.add_argument("--max-length", type=int, default=8)
-    p_synth.add_argument("--phase-tol", type=float, default=1e-9)
+    p_synth.add_argument("--phase-tol", type=_tolerance,
+                         default=DEFAULT_PHASE_TOLERANCE,
+                         help="exact-phase tolerance (default %(default)g)")
     p_synth.add_argument("--weave-only", action=argparse.BooleanOptionalAction,
                          default=True, help="restrict to one mobile block")
     p_synth.add_argument("--workers", type=int, default=1)
 
-    p_asm = sub.add_parser("assemble", help="compose stored braids into a gate")
-    common(p_asm)
+    p_asm = command("assemble", "compose stored braids into a gate", level=False)
     p_asm.add_argument("--gate", choices=("cz", "ccz", "convert"), required=True)
     p_asm.add_argument("--direction", choices=("merge", "split"), default=None)
     p_asm.add_argument("components", nargs="+", type=Path,
                        help="braid JSON files (cz: P; ccz: B1 P B3; convert: E)")
 
-    p_verify = sub.add_parser("verify", help="recompute a stored braid's numbers")
-    common(p_verify)
-    p_verify.add_argument("components", nargs=1, type=Path,
-                          help="braid JSON file")
+    p_verify = command("verify", "recompute a stored braid's numbers", level=False)
+    p_verify.add_argument("braid", type=Path, help="braid JSON file")
     return parser
-
-
-def _job_config(ns: argparse.Namespace) -> JobConfig:
-    leaves: tuple[int, ...] = ()
-    total = 0
-    if getattr(ns, "leaves", None):
-        leaves = tuple(parse_spin(tok) for tok in ns.leaves.split(","))
-        total = parse_spin(ns.total)
-    return JobConfig(
-        command=ns.command,
-        k=ns.k,
-        target=getattr(ns, "target", None),
-        max_length=getattr(ns, "max_length", 8),
-        tolerance=ns.tol,
-        phase_tolerance=getattr(ns, "phase_tol", 1e-9),
-        weave_only=getattr(ns, "weave_only", True),
-        workers=getattr(ns, "workers", 1),
-        out=ns.out,
-        fmt=ns.fmt,
-        leaves=leaves,
-        total=total,
-        gate=getattr(ns, "gate", None),
-        direction=getattr(ns, "direction", None),
-        components=tuple(getattr(ns, "components", ()) or ()),
-        debug_corrupt=getattr(ns, "debug_corrupt", False),
-    )
 
 
 _COMMANDS = {
@@ -455,22 +412,16 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        config = _job_config(ns)
-        return _COMMANDS[config.command](config)
+        args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (EncodingError, AssemblyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ConsistencyError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (ValueError, RuntimeError, KeyError) as exc:
+        # UsageError, EncodingError and AssemblyError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

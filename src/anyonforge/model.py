@@ -40,15 +40,22 @@ import numpy as np
 __all__ = [
     "DEFAULT_TOLERANCE",
     "DEFAULT_PHASE_TOLERANCE",
+    "MAX_LEVEL",
     "ConsistencyError",
     "FMatrix",
     "SymbolCache",
     "AnyonModel",
 ]
 
-# Default tolerances: consistency identities vs. exact-phase checks.
+# Default tolerances: consistency identities and a search's matrix rules,
+# and a search's exact-phase rules.
 DEFAULT_TOLERANCE = 1e-9
-DEFAULT_PHASE_TOLERANCE = 1e-12
+DEFAULT_PHASE_TOLERANCE = 1e-9
+
+# The largest level: its (k+1)^5 flat F index (see ``_FTable``) is the
+# largest that fits in int32.  A model refuses a larger level before it
+# builds anything, so a level read from a file cannot exhaust memory.
+MAX_LEVEL = 72
 
 
 class ConsistencyError(Exception):
@@ -192,14 +199,11 @@ class _FTable:
     no column channel).  So F(a, b, c, d)[e, f] is
     ``values[rows[s*n + e] + cols[s*n + f]]`` for any labels, and reads 0.0
     for every absent one: three gathers per read, and (k+1)^5 int32 plus
-    int16 index entries.
+    int16 index entries (``MAX_LEVEL`` keeps them within int32).
     """
 
     def __init__(self, k: int, blocks: dict):
         n = self.n = k + 1
-        if n ** 5 > np.iinfo(np.int32).max:
-            raise ValueError(f"k={k} is too large for the int32 index of the "
-                             "pentagon and hexagon checks")
         # Per block: its position, first row and column channel, row and
         # column counts.  Channels step by 2 from the first.
         at, e0, f0, height, width = np.array(
@@ -232,13 +236,12 @@ class _FTable:
 
 
 class AnyonModel:
-    """The SU(2)_k anyon model at integer level k >= 2."""
+    """The SU(2)_k anyon model at integer level 2 <= k <= MAX_LEVEL."""
 
     def __init__(self, k: int):
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-            raise ValueError(f"level must be an integer >= 2, got {k!r}")
-        if k < 2:
-            raise ValueError(f"level must be an integer >= 2, got {k}")
+        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) \
+                or not 2 <= k <= MAX_LEVEL:
+            raise ValueError(f"level must be an integer from 2 to {MAX_LEVEL}, got {k!r}")
         self.k = int(k)
         self.symbols = _CLEAN_TABLES.setdefault(self.k, SymbolCache(self.k))
         # q-integers [n] for n = 0 .. 2k+2, with exact zeros at n = 0 mod k+2

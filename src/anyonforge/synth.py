@@ -29,7 +29,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .codes import EncodingError, multi_qubit_code, single_qubit_code
-from .model import AnyonModel, ConsistencyError
+from .model import (AnyonModel, ConsistencyError, DEFAULT_PHASE_TOLERANCE,
+                    DEFAULT_TOLERANCE)
 from .spaces import (
     Grouping,
     braid_generator,
@@ -307,16 +308,16 @@ class SynthesisTarget:
 @dataclass(frozen=True)
 class SearchConfig:
     max_length: int
-    tolerance: float = 1e-9
-    phase_tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOLERANCE
+    phase_tolerance: float = DEFAULT_PHASE_TOLERANCE
     weave_only: bool = True
     dedup: bool = True
 
     def __post_init__(self):
         if self.max_length < 1:
             raise ValueError("max_length must be at least 1")
-        if self.tolerance <= 0 or self.phase_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (self.tolerance > 0 and self.phase_tolerance > 0):
+            raise ValueError("tolerances must be positive numbers")
 
 
 @dataclass

@@ -372,3 +372,49 @@ def test_malformed_unitary_target_files_exit_1(valid_inputs, data):
     path.write_text(data.draw(_malformed(payloads["not"], ["matrix"], ["matrix", "name"])))
     assert _exit_code("synth", "--k", "3", "--target", str(path),
                       "--max-length", "2") == 1
+
+
+# --- the flag surface -------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, code", [
+    # Each command takes only the flags it reads.
+    ("model --k 3 --tol 1e-6", 1),
+    ("basis --k 3 --leaves 1/2,1/2 --format csv", 1),
+    ("verify --k 3 {p}", 1),
+    ("assemble --k 3 --gate cz {p}", 1),
+    ("verify {p}", 0),
+    ("assemble --gate cz {p}", 0),
+    # The level comes from --k, or from the braid files, and is bounded.
+    ("check", 1),
+    ("basis --leaves 1/2,1/2", 1),
+    ("synth --target P", 1),
+    ("model --k 72", 0),
+    ("model --k 73", 1),
+    ("model --k 1000000000", 1),
+    ("verify {huge}", 1),
+    ("assemble --gate cz {huge}", 1),
+    # Tolerances are finite and positive.
+    ("check --k 2 --tol 1e-6", 0),
+    ("check --k 2 --tol nan", 1),
+    ("check --k 2 --tol -1", 1),
+    ("check --k 2 --tol inf", 1),
+    ("synth --k 3 --target P --tol nan", 1),
+    ("synth --k 3 --target P --tol 0", 1),
+    ("synth --k 3 --target P --phase-tol nan", 1),
+    # --out must take the JSON artifact, and not where the curve CSV goes.
+    ("check --k 2 --out {out}/missing/check.json", 1),
+    ("synth --k 3 --target P --out {out}/missing/p.json", 1),
+    ("synth --k 3 --target P --out {out}/p.csv", 1),
+])
+def test_flag_surface(valid_inputs, tmp_path, monkeypatch, argv, code):
+    """Every argv is settled before any search and writes no file."""
+    payloads, work = valid_inputs
+    (work / "huge.json").write_text(json.dumps(dict(payloads["p"], k=10**9)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "search", refuse)
+    argv = argv.format(p=work / "p.json", huge=work / "huge.json", out=tmp_path)
+    assert _exit_code(*argv.split()) == code
+    assert list(tmp_path.iterdir()) == []

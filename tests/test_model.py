@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonforge import (AnyonModel, ConsistencyError, braid_generator,
+from anyonforge import (MAX_LEVEL, AnyonModel, ConsistencyError, braid_generator,
                         enumerate_basis)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -19,6 +19,16 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 def test_charge_list_is_twice_spin_range(model3):
     assert model3.charges == (0, 1, 2, 3)
     assert AnyonModel(8).charges == tuple(range(9))
+
+
+def test_level_bound_is_the_int32_index_limit():
+    """The largest level is the largest whose (k+1)^5 flat F index fits in
+    int32; any other level is refused before anything is built."""
+    assert (MAX_LEVEL + 1) ** 5 <= np.iinfo(np.int32).max < (MAX_LEVEL + 2) ** 5
+    assert AnyonModel(MAX_LEVEL).k == MAX_LEVEL
+    for k in (1, MAX_LEVEL + 1, 10**9):
+        with pytest.raises(ValueError):
+            AnyonModel(k)
 
 
 def test_fusion_rules_pinned(model2, model3):

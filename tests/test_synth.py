@@ -1,5 +1,7 @@
 """Braid words, targets, the weave search, and its determinism contract."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from anyonforge import (
     AnyonModel,
     BraidWord,
     ColumnRule,
+    DEFAULT_PHASE_TOLERANCE,
+    DEFAULT_TOLERANCE,
     EncodingError,
     Grouping,
     PhaseRule,
@@ -226,6 +230,17 @@ def test_unitary_target_validation(model3):
 
 
 # --- search --------------------------------------------------------------
+
+def test_search_config_tolerances():
+    config = SearchConfig(max_length=1)
+    assert (config.tolerance, config.phase_tolerance) == (
+        DEFAULT_TOLERANCE, DEFAULT_PHASE_TOLERANCE) == (1e-9, 1e-9)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            SearchConfig(max_length=1, tolerance=bad)
+        with pytest.raises(ValueError):
+            SearchConfig(max_length=1, phase_tolerance=bad)
+
 
 def test_search_rejects_mismatched_model(model2, model3):
     with pytest.raises(ValueError):
