@@ -103,14 +103,14 @@ def _expect_two_qubit_component(result: SynthesisResult, model: AnyonModel,
                                 label: str) -> None:
     target = result.target
     _require(target.k == model.k, f"{label}: component built for k={target.k}")
-    _require(target.blocks == ((1,), (2, 3), (4, 5), (6,)),
+    code = multi_qubit_code(model, 2)
+    _require(target.blocks == code.grouping.blocks,
              f"{label}: expected the six-anyon two-qubit block structure")
+    _require(target.leaves == code.basis.leaves,
+             f"{label}: component built for leaves {target.leaves}; the codes "
+             f"assembled here have leaves {code.basis.leaves}")
     _require(result.braid.permutation() == (0, 1, 2, 3),
              f"{label}: braid must return every block to its place")
-
-
-def _unitarity_defect(U: np.ndarray) -> float:
-    return float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]), ord=2))
 
 
 def _logical(code: CodeSpace, U_fine: np.ndarray):
@@ -213,6 +213,18 @@ def assemble_ccz(model: AnyonModel, B1: SynthesisResult, P: SynthesisResult,
 
 # --- register conversion ------------------------------------------------
 
+def _embedded(model: AnyonModel, code: CodeSpace, bits: tuple[int, ...],
+              tail: tuple[int, ...]) -> np.ndarray:
+    """Fine vector on eight spin-1/2 anyons of the code state |bits> on the
+    leading strands, each of its trees continued by the running charges
+    ``tail`` over the remaining strands."""
+    basis8 = enumerate_basis(model, (1,) * 8, 0)
+    vec = np.zeros(basis8.dim, dtype=np.complex128)
+    for amp, tree in zip(code.fine_state(bits), code.basis.trees):
+        vec[basis8.index(FusionTree(basis8.leaves, tree.internals + tail))] = amp
+    return vec
+
+
 def _product_states(model: AnyonModel):
     """Fine vectors of |q1> x |q2> on the eight-anyon exchange layout.
 
@@ -221,43 +233,15 @@ def _product_states(model: AnyonModel):
     qubit value q is the unique tree whose leading pair carries charge 2q.
     Returns the four vectors in bit order (00, 01, 10, 11).
     """
-    code1 = single_qubit_code(model)
-    basis4 = code1.basis
-    basis8 = enumerate_basis(model, (1,) * 8, 0)
-    out = []
-    for b1 in (0, 1):
-        psi1 = code1.fine_state((b1,))
-        for b2 in (0, 1):
-            tail = (1, 2 * b2, 1, 0)
-            vec = np.zeros(basis8.dim, dtype=np.complex128)
-            for i, tree in enumerate(basis8.trees):
-                m = tree.internals
-                if m[3] != 0 or m[4:] != tail:
-                    continue
-                head = FusionTree(leaves=tree.leaves[:4], internals=m[:4])
-                vec[i] = psi1[basis4.index(head)]
-            out.append(vec)
-    return out
+    code = single_qubit_code(model)
+    return [_embedded(model, code, (b1,), (1, 2 * b2, 1, 0))
+            for b1 in (0, 1) for b2 in (0, 1)]
 
 
 def _merged_states(model: AnyonModel):
     """Fine vectors of six-anyon |q1 q2> with a trailing vacuum pair."""
     code = multi_qubit_code(model, 2)
-    basis6 = code.basis
-    basis8 = enumerate_basis(model, (1,) * 8, 0)
-    out = []
-    for b1 in (0, 1):
-        for b2 in (0, 1):
-            psi6 = code.fine_state((b1, b2))
-            vec = np.zeros(basis8.dim, dtype=np.complex128)
-            for i, tree in enumerate(basis8.trees):
-                m = tree.internals
-                if m[5] != 0:
-                    continue
-                head = FusionTree(leaves=tree.leaves[:6], internals=m[:6])
-                vec[i] = psi6[basis6.index(head)]
-            out.append(vec)
-    return out
+    return [_embedded(model, code, bits, (1, 0)) for bits, _ in code.computational]
 
 
 def convert_registers(model: AnyonModel, direction: str,
@@ -278,8 +262,11 @@ def convert_registers(model: AnyonModel, direction: str,
              "E: expected the (3,1,3,1) exchange block structure")
     _require(E.braid.permutation() == (0, 2, 1, 3),
              "E: braid must move the singleton block past the second register")
-
     basis8 = enumerate_basis(model, (1,) * 8, 0)
+    _require(target_e.leaves == basis8.leaves,
+             f"E: component built for leaves {target_e.leaves}; the registers "
+             f"converted here have leaves {basis8.leaves}")
+
     U = evaluate(model, basis8, E.braid, target_e.grouping)
     products = _product_states(model)
     merged = _merged_states(model)

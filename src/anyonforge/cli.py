@@ -242,6 +242,9 @@ def _rescore(model: AnyonModel, payload: dict):
 
 
 def cmd_assemble(args: argparse.Namespace) -> int:
+    if (args.direction is None) == (args.gate == "convert"):
+        raise UsageError("--direction merge or split goes with --gate convert, "
+                         "and only with it")
     payloads = [(path, _read_braid(path)) for path in args.components]
     ks = {payload["k"] for _, payload in payloads}
     if len(ks) > 1:
@@ -267,8 +270,6 @@ def cmd_assemble(args: argparse.Namespace) -> int:
     elif args.gate == "ccz":
         report = assemble_ccz(model, pick("B1"), pick("P"), pick("B3"))
     else:
-        if args.direction is None:
-            raise UsageError("convert needs --direction merge or split")
         report = convert_registers(model, args.direction, pick("E"))
 
     payload = gate_report_payload(report)

@@ -23,7 +23,6 @@ from .spaces import FusionBasis, GroupedBasis, Grouping, enumerate_basis, regrou
 
 __all__ = [
     "EncodingError",
-    "CodeLayout",
     "CodeSpace",
     "LeakageReport",
     "single_qubit_code",
@@ -37,23 +36,6 @@ class EncodingError(ValueError):
 
 
 @dataclass(frozen=True)
-class CodeLayout:
-    """Which leaves play which role.
-
-    ``a_positions`` and ``b_positions`` are 1-based strand positions;
-    ``qubit_blocks`` maps qubit i (0-based) to the 1-based block index of
-    its (b, b) pair in the grouping.
-    """
-
-    scheme: str
-    a_charge: int
-    b_charge: int
-    a_positions: tuple[int, ...]
-    b_positions: tuple[int, ...]
-    qubit_blocks: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class CodeSpace:
     """A classified, block-regrouped fusion space.
 
@@ -64,7 +46,6 @@ class CodeSpace:
     """
 
     k: int
-    layout: CodeLayout
     basis: FusionBasis
     grouping: Grouping
     grouped: GroupedBasis
@@ -74,7 +55,8 @@ class CodeSpace:
 
     @property
     def qubit_count(self) -> int:
-        return len(self.layout.qubit_blocks)
+        # One (b, b) block per qubit between the two a singletons.
+        return len(self.grouping.blocks) - 2
 
     @property
     def dim(self) -> int:
@@ -122,11 +104,7 @@ class LeakageReport:
     sector_phases: dict[tuple[int, ...], complex]
 
 
-def _bit_charge(bit: int) -> int:
-    return 2 * bit
-
-
-def _build_code(model: AnyonModel, scheme: str, a: int, b: int, n: int) -> CodeSpace:
+def _build_code(model: AnyonModel, a: int, b: int, n: int) -> CodeSpace:
     if 2 not in model.fuse(b, b):
         raise EncodingError(
             f"charge {b} pairs cannot carry a qubit: fuse({b},{b}) = {model.fuse(b, b)}"
@@ -152,17 +130,8 @@ def _build_code(model: AnyonModel, scheme: str, a: int, b: int, n: int) -> CodeS
         raise EncodingError(
             f"expected {2 ** n} computational states, found {len(computational)}"
         )
-    layout = CodeLayout(
-        scheme=scheme,
-        a_charge=a,
-        b_charge=b,
-        a_positions=(1, 2 * n + 2),
-        b_positions=tuple(range(2, 2 * n + 2)),
-        qubit_blocks=tuple(range(2, n + 2)),
-    )
     return CodeSpace(
         k=model.k,
-        layout=layout,
         basis=basis,
         grouping=grouping,
         grouped=grouped,
@@ -172,18 +141,16 @@ def _build_code(model: AnyonModel, scheme: str, a: int, b: int, n: int) -> CodeS
     )
 
 
-def single_qubit_code(model: AnyonModel, scheme: str = "four_anyon",
+def single_qubit_code(model: AnyonModel,
                       charges: tuple[int, int] = (1, 1)) -> CodeSpace:
     """One qubit in four anyons (a, b, b, a) with total charge 0.
 
-    The three-anyon sparse scheme is carried in the same four-anyon basis:
-    the trailing a is a spectator no braid touches, so dropping it changes
-    bookkeeping only.
+    This space also carries the three-anyon sparse scheme: the trailing a
+    is a spectator no braid touches, so dropping it changes bookkeeping
+    only.
     """
-    if scheme not in ("four_anyon", "three_anyon"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     a, b = charges
-    return _build_code(model, scheme, model.check_charge(a), model.check_charge(b), 1)
+    return _build_code(model, model.check_charge(a), model.check_charge(b), 1)
 
 
 def multi_qubit_code(model: AnyonModel, n: int,
@@ -192,7 +159,7 @@ def multi_qubit_code(model: AnyonModel, n: int,
     if n < 1:
         raise ValueError("qubit count must be at least 1")
     a, b = charges
-    return _build_code(model, "dense", model.check_charge(a), model.check_charge(b), n)
+    return _build_code(model, model.check_charge(a), model.check_charge(b), n)
 
 
 def leakage(U: np.ndarray, code: CodeSpace) -> LeakageReport:

@@ -119,7 +119,8 @@ def enumerate_basis(model: AnyonModel, leaves: tuple[int, ...], total: int) -> F
 
 
 def swap_leaves(leaves: tuple[int, ...], position: int) -> tuple[int, ...]:
-    """Leaf ordering after exchanging strands at 1-based ``position``."""
+    """Leaf ordering after exchanging strands at 1-based ``position``; any
+    row (block charges, block sizes, an arrangement) swaps the same way."""
     i = position - 1
     swapped = list(leaves)
     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
@@ -377,7 +378,5 @@ def composite_braid_generator(model: AnyonModel, basis: FusionBasis,
 
 def swap_blocks(grouping: Grouping, position: int) -> Grouping:
     """Grouping after exchanging blocks at 1-based ``position`` (sizes swap)."""
-    sizes = [len(b) for b in grouping.blocks]
-    i = position - 1
-    sizes[i], sizes[i + 1] = sizes[i + 1], sizes[i]
-    return Grouping.of_sizes(*sizes)
+    sizes = tuple(len(b) for b in grouping.blocks)
+    return Grouping.of_sizes(*swap_leaves(sizes, position))

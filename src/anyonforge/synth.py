@@ -22,6 +22,7 @@ unitaries).  The score of a word is the worst rule deviation.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -32,6 +33,7 @@ from .codes import EncodingError, multi_qubit_code, single_qubit_code
 from .model import (AnyonModel, ConsistencyError, DEFAULT_PHASE_TOLERANCE,
                     DEFAULT_TOLERANCE)
 from .spaces import (
+    FusionTree,
     Grouping,
     braid_generator,
     composite_braid_generator,
@@ -39,6 +41,7 @@ from .spaces import (
     inverse_braid_generator,
     regroup,
     swap_blocks,
+    swap_leaves,
 )
 
 __all__ = [
@@ -51,7 +54,6 @@ __all__ = [
     "ColumnRule",
     "MatrixRule",
     "POLICY_MUST_BE_ONE",
-    "POLICY_FREE",
     "POLICY_CANCEL",
     "distance",
     "evaluate",
@@ -69,7 +71,6 @@ __all__ = [
 ]
 
 POLICY_MUST_BE_ONE = "must_be_one"
-POLICY_FREE = "free"
 POLICY_CANCEL = "must_cancel_with_partner"
 
 
@@ -139,10 +140,7 @@ def distance(U: np.ndarray, V: np.ndarray) -> float:
 
 def _block_swapped_leaves(leaves: tuple[int, ...], grouping: Grouping,
                           position: int) -> tuple[int, ...]:
-    charges = grouping.block_charges(leaves)
-    blocks = list(charges)
-    i = position - 1
-    blocks[i], blocks[i + 1] = blocks[i + 1], blocks[i]
+    blocks = swap_leaves(grouping.block_charges(leaves), position)
     return tuple(c for block in blocks for c in block)
 
 
@@ -365,11 +363,7 @@ def _pair_sectors(a: int):
 def _comp_index(model: AnyonModel, sector: tuple[int, ...], a: int) -> int:
     """Index of the all-a coarse tree inside a sector's coarse basis."""
     basis = enumerate_basis(model, sector, 0)
-    want = (a,) * (len(sector) - 1) + (0,)
-    for i, tree in enumerate(basis.trees):
-        if tree.internals == want:
-            return i
-    raise EncodingError(f"sector {sector} has no computational tree")
+    return basis.index(FusionTree(sector, (a,) * (len(sector) - 1) + (0,)))
 
 
 def make_target_P(model: AnyonModel, charges: tuple[int, int] = (1, 1)) -> SynthesisTarget:
@@ -413,13 +407,7 @@ def _aggregation_target(model: AnyonModel, charges: tuple[int, int], joined: int
     col = fm.cols.index(joined)
     target = [0.0j] * basis.dim
     for r, m in enumerate(fm.rows):
-        internals = (a, m, a, 0)
-        for i, tree in enumerate(basis.trees):
-            if tree.internals == internals:
-                target[i] = complex(fm.matrix[r, col])
-                break
-        else:
-            raise EncodingError(f"channel {m} missing from sector basis")
+        target[basis.index(FusionTree(sector, (a, m, a, 0)))] = complex(fm.matrix[r, col])
     comp = _comp_index(model, sector, a)
     rules = [ColumnRule(sector, comp, tuple(target), exact_value=None)]
     for other in _pair_sectors(a):
@@ -442,36 +430,26 @@ def make_target_B3(model: AnyonModel, charges: tuple[int, int] = (1, 1)) -> Synt
     return _aggregation_target(model, charges, joined=0, name="B3")
 
 
-def make_target_E(model: AnyonModel, charges: tuple[int, int] = (1, 1),
-                  channel_in: int = 0, channel_out: int = 0) -> SynthesisTarget:
+def make_target_E(model: AnyonModel, charges: tuple[int, int] = (1, 1)) -> SynthesisTarget:
     """Anyon-exchange move joining two four-anyon registers.
 
     Strand layout (a1 b2 b3 | a4 | b6 b7 a8 | a5): the singleton a4 block
     weaves past the second register's three-anyon block and parks between it
     and the trailing a5, so strands 1..6 afterwards carry a six-anyon
-    register while the displaced pair (a4, a5) fuses to the vacuum.  The
-    input whose first register carries charge ``channel_in`` must land on
-    the direction where the joined six-strand register carries
-    ``channel_out`` (both 0 for charge-zero registers); every other sector
-    is one-dimensional.
+    register while the displaced pair (a4, a5) fuses to the vacuum.  Every
+    register is a charge-0 code, so in the (a, a, a, a) sector the input
+    whose first register carries charge 0 must land on the direction where
+    the joined six-strand register carries charge 0; every other sector is
+    one-dimensional.
     """
     a, b = charges
     leaves = (a, b, b, a, b, b, a, a)
     grouping = Grouping.of_sizes(3, 1, 3, 1)
     sector = (a, a, a, a)
     basis = enumerate_basis(model, sector, 0)
-
-    def channel_tree(channel: int) -> int:
-        want = (a, channel, a, 0)
-        for i, tree in enumerate(basis.trees):
-            if tree.internals == want:
-                return i
-        raise EncodingError(f"no channel-{channel} tree in sector {sector}")
-
-    idx_in = channel_tree(channel_in)
-    idx_out = channel_tree(channel_out)
-    target = tuple(1.0 + 0.0j if i == idx_out else 0.0j for i in range(basis.dim))
-    rules = (ColumnRule(sector, idx_in, target, exact_value=None),)
+    channel0 = basis.index(FusionTree(sector, (a, 0, a, 0)))
+    target = tuple(1.0 + 0.0j if i == channel0 else 0.0j for i in range(basis.dim))
+    rules = (ColumnRule(sector, channel0, target, exact_value=None),)
     return SynthesisTarget(
         kind="sector_map", name="E", k=model.k, leaves=leaves,
         blocks=grouping.blocks, mobile=2, span=(2, 4),
@@ -561,8 +539,7 @@ class _Problem:
     def transition(self, arr: tuple, pos: int, exp: int):
         """The arrangement after letter (pos, exp) from ``arr``, and the
         letter's generator on each sector (built once per symbol table)."""
-        i = pos - 1
-        new_arr = arr[:i] + (arr[i + 1], arr[i]) + arr[i + 2:]
+        new_arr = swap_leaves(arr, pos)
         step = braid_generator if exp == 1 else inverse_braid_generator
         gens = tuple(step(self.model, enumerate_basis(
                          self.model, tuple(sector[b] for b in arr), 0), pos)
@@ -659,8 +636,9 @@ def search(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
     """Exhaustive enumeration of words up to config.max_length, in one pass.
 
     Deterministic regardless of worker count: the prefix forest at a fixed
-    depth is dealt round-robin to workers and results merge by
-    (score, length, letter sequence).  The best word is re-verified on the
+    depth is dealt round-robin to ``workers`` shares and results merge by
+    (score, length, letter sequence).  The shares run on at most
+    ``os.cpu_count()`` processes.  The best word is re-verified on the
     full fusion space before the result is returned.
     """
     if model.k != target.k:
@@ -677,7 +655,7 @@ def search(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
     if workers == 1:
         outcomes = [worker_job(*args[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             outcomes = list(pool.map(worker_job_star, args))
     bests = [best for best, _ in outcomes if best is not None]
     if not bests:

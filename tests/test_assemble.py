@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from anyonforge import (
+    AnyonModel,
     AssemblyError,
     BraidWord,
+    FusionTree,
     Grouping,
     SearchConfig,
     SynthesisResult,
@@ -14,6 +16,7 @@ from anyonforge import (
     assemble_controlled_phase,
     braid_length_total,
     convert_registers,
+    enumerate_basis,
     make_target_B1,
     make_target_B3,
     make_target_E,
@@ -21,7 +24,9 @@ from anyonforge import (
     multi_qubit_code,
     score_braid,
     search,
+    single_qubit_code,
 )
+from anyonforge import assemble
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +156,57 @@ def test_convert_directions(model3, parts3):
         convert_registers(model3, "sideways", parts3["E"])
     with pytest.raises(AssemblyError):
         convert_registers(model3, "merge", parts3["P"])
+
+
+def _scanned_product_states(model):
+    """|q1> x |q2> by walking every eight-anyon tree, as the conversion
+    did before it embedded the code trees directly."""
+    code1 = single_qubit_code(model)
+    basis4 = code1.basis
+    basis8 = enumerate_basis(model, (1,) * 8, 0)
+    out = []
+    for b1 in (0, 1):
+        psi1 = code1.fine_state((b1,))
+        for b2 in (0, 1):
+            tail = (1, 2 * b2, 1, 0)
+            vec = np.zeros(basis8.dim, dtype=np.complex128)
+            for i, tree in enumerate(basis8.trees):
+                m = tree.internals
+                if m[3] != 0 or m[4:] != tail:
+                    continue
+                head = FusionTree(leaves=tree.leaves[:4], internals=m[:4])
+                vec[i] = psi1[basis4.index(head)]
+            out.append(vec)
+    return out
+
+
+def _scanned_merged_states(model):
+    """Six-anyon |q1 q2> plus a vacuum pair, by the same walk."""
+    code = multi_qubit_code(model, 2)
+    basis6 = code.basis
+    basis8 = enumerate_basis(model, (1,) * 8, 0)
+    out = []
+    for b1 in (0, 1):
+        for b2 in (0, 1):
+            psi6 = code.fine_state((b1, b2))
+            vec = np.zeros(basis8.dim, dtype=np.complex128)
+            for i, tree in enumerate(basis8.trees):
+                m = tree.internals
+                if m[5] != 0:
+                    continue
+                head = FusionTree(leaves=tree.leaves[:6], internals=m[:6])
+                vec[i] = psi6[basis6.index(head)]
+            out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_register_states_equal_the_tree_walk(k):
+    model = AnyonModel(k)
+    for new, old in ((assemble._product_states(model), _scanned_product_states(model)),
+                     (assemble._merged_states(model), _scanned_merged_states(model))):
+        assert len(new) == len(old) == 4
+        assert [v.tobytes() for v in new] == [v.tobytes() for v in old]
 
 
 def test_merge_then_split_is_logical_identity(model3, parts3):

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anyonforge import cli, synth
+from anyonforge import (AnyonModel, SearchConfig, cli, search, synth,
+                        write_braid_file)
 from anyonforge.cli import main
+from anyonforge.synth import BUILTIN_TARGETS
 
 
 def run(capsys, *argv):
@@ -217,6 +219,27 @@ def test_convert_needs_direction(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("name, charges, length, gate", [
+    ("P", (1, 3), 8, ["--gate", "cz"]),
+    ("E", (3, 1), 9, ["--gate", "convert", "--direction", "merge"]),
+])
+def test_assemble_refuses_components_for_other_charges(capsys, tmp_path, name,
+                                                       charges, length, gate):
+    """The assembled codes are spin-1/2: a k=5 component searched for other
+    charges verifies, but is refused by the assembly instead of being
+    evaluated on the spin-1/2 system."""
+    model = AnyonModel(5)
+    result = search(model, BUILTIN_TARGETS[name](model, charges),
+                    SearchConfig(max_length=length))
+    assert result.target.leaves != (1,) * len(result.target.leaves)
+    path = tmp_path / f"{name}.json"
+    write_braid_file(path, result)
+    assert run(capsys, "verify", str(path))[0] == 0
+    code, _, err = run(capsys, "assemble", *gate, str(path))
+    assert code == 1
+    assert "leaves" in err and "Traceback" not in err
+
+
 def test_assemble_rejects_mixed_levels(capsys, tmp_path):
     p2 = tmp_path / "p2.json"
     p3 = tmp_path / "b1.json"
@@ -393,6 +416,8 @@ def test_malformed_unitary_target_files_exit_1(valid_inputs, data):
     ("model --k 1000000000", 1),
     ("verify {huge}", 1),
     ("assemble --gate cz {huge}", 1),
+    # --direction goes with --gate convert, and only with it.
+    ("assemble --gate cz --direction split {p}", 1),
     # Tolerances are finite and positive.
     ("check --k 2 --tol 1e-6", 0),
     ("check --k 2 --tol nan", 1),

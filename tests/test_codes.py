@@ -54,22 +54,16 @@ def test_bits_to_pair_charges(model3):
 
 def test_single_qubit_code(model3):
     code = single_qubit_code(model3)
+    assert code.qubit_count == multi_qubit_code(model3, 1).qubit_count == 1
     assert code.basis.leaves == (1, 1, 1, 1)
     assert code.dim == 2
     assert len(code.computational) == 2
     assert len(code.non_computational) == 0
 
 
-def test_three_anyon_scheme_matches_four_anyon_space(model3):
-    sparse = single_qubit_code(model3, scheme="three_anyon")
-    assert sparse.dim == 2
-    assert len(sparse.computational) == 2
-    with pytest.raises(ValueError):
-        single_qubit_code(model3, scheme="five_anyon")
-
-
 def test_three_qubit_code(model3):
     code = multi_qubit_code(model3, 3)
+    assert code.qubit_count == 3
     assert code.basis.leaves == (1,) * 8
     assert code.basis.dim == 13
     assert [bits for bits, _ in code.computational] == [

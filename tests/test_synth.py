@@ -30,6 +30,7 @@ from anyonforge import (
     multi_qubit_code,
     score_braid,
     search,
+    synth,
     verify_braid_relations,
 )
 
@@ -221,6 +222,55 @@ def test_exchange_target_structure(model3):
     assert target.mobile == 2
 
 
+def _scanned_index(basis, internals) -> int:
+    """A tree's position found by walking ``basis.trees``, as the target
+    factories did before they asked ``FusionBasis.index``."""
+    for i, tree in enumerate(basis.trees):
+        if tree.internals == internals:
+            return i
+    raise AssertionError(f"no tree {internals}")
+
+
+def _scanned_column(model, name: str, a: int) -> ColumnRule:
+    """The column rule of a gate-set target, built with the old scans."""
+    if name == "E":
+        sector = (a,) * 4
+        basis = enumerate_basis(model, sector, 0)
+        idx = _scanned_index(basis, (a, 0, a, 0))
+        target = tuple(1.0 + 0.0j if i == idx else 0.0j for i in range(basis.dim))
+        return ColumnRule(sector, idx, target, exact_value=None)
+    sector = (a, 2, 2, a)
+    basis = enumerate_basis(model, sector, 0)
+    comp = _scanned_index(basis, (a, a, a, 0))
+    if name == "P":
+        target = tuple(1.0 + 0.0j if i == comp else 0.0j for i in range(basis.dim))
+        return ColumnRule(sector, comp, target, exact_value=-1.0 + 0.0j)
+    fm = model.f_symbol(a, 2, 2, a)
+    col = fm.cols.index(2 if name == "B1" else 0)
+    target = [0.0j] * basis.dim
+    for r, m in enumerate(fm.rows):
+        target[_scanned_index(basis, (a, m, a, 0))] = complex(fm.matrix[r, col])
+    return ColumnRule(sector, comp, tuple(target), exact_value=None)
+
+
+def test_target_columns_equal_the_tree_scans():
+    factories = {"P": make_target_P, "B1": make_target_B1, "B3": make_target_B3,
+                 "E": make_target_E}
+    built = 0
+    for k in range(3, 8):
+        model = AnyonModel(k)
+        for charges in ((1, 1), (1, 3), (3, 1), (2, 2), (3, 3)):
+            for name, factory in factories.items():
+                try:
+                    target = factory(model, charges)
+                except EncodingError:
+                    continue
+                columns = [r for r in target.rules if isinstance(r, ColumnRule)]
+                assert columns == [_scanned_column(model, name, charges[0])]
+                built += 1
+    assert built == 91
+
+
 def test_unitary_target_validation(model3):
     with pytest.raises(ValueError):
         make_target_unitary(model3, np.array([[1, 1], [0, 1]]))
@@ -263,6 +313,42 @@ def test_search_deterministic_across_workers(model3):
     assert repr(one.distance) == repr(three.distance)
     strip = lambda rows: [r[:4] for r in rows]
     assert strip(one.stats.rows) == strip(three.stats.rows)
+
+
+def test_worker_pool_is_capped_at_cpu_count(model3, monkeypatch):
+    """Any number of shares runs on at most os.cpu_count() processes, and
+    the shares still decide the result.  The pool is replaced by one that
+    records its size and maps in this process, so no process starts."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return list(map(fn, iterable))
+
+    monkeypatch.setattr(synth, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(synth.os, "cpu_count", lambda: 3)
+    config = SearchConfig(max_length=8)
+    target = make_target_B1(model3)
+    one = search(model3, target, config, workers=1)
+    strip = lambda rows: [r[:4] for r in rows]
+    for workers, size in ((2, 2), (64, 3)):
+        many = search(model3, target, config, workers=workers)
+        assert sizes.pop() == size
+        assert many.braid == one.braid
+        assert repr(many.distance) == repr(one.distance)
+        assert strip(many.stats.rows) == strip(one.stats.rows)
+    monkeypatch.setattr(synth.os, "cpu_count", lambda: None)
+    search(model3, target, config, workers=4)
+    assert sizes == [1]
 
 
 def test_dedup_does_not_change_results(model3):
