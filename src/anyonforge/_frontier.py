@@ -21,12 +21,7 @@ import time
 import numpy as np
 
 from .model import AnyonModel
-from .synth import (
-    SearchConfig,
-    SynthesisTarget,
-    _Problem,
-    _rank,
-)
+from .synth import SynthesisTarget, _Problem, _rank
 
 
 def _vmul(coef: tuple, dims: tuple, re: np.ndarray, im: np.ndarray):
@@ -126,19 +121,22 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 # it; bounds the walk's memory to a few MB.
 _BATCH_NODES = 1 << 13
 
+# Most children of one weave node: the mobile block's four letters, less the
+# inverse of the last one.
+_BRANCHING = 3
+
 
 class _Walk:
     """Level-by-level expansion of the word forest for one worker, with its
     tallies: nodes visited, busy seconds and best score per depth, and the
     best word overall."""
 
-    def __init__(self, problem: _Problem):
+    def __init__(self, problem: _Problem, max_length: int):
         self.problem = problem
+        self.max_length = max_length
         # Move index -> letter; (p, 1) and (p, -1) are 2(p-1) and 2(p-1)+1,
         # so index order is lex order and m ^ 1 is the inverse of m.
         self.letters = problem.all_moves()
-        self.branching = (min(4, len(self.letters)) if problem.config.weave_only
-                          else len(self.letters)) - 1
         self.arrangements: list = []
         self._ids: dict = {}
         self.final = self._arrangement_id(problem.final_arr)
@@ -146,10 +144,9 @@ class _Walk:
         # Per depth down to the current level: (parent, last) of the nodes
         # kept for expansion, for spelling out words.
         self.trail: list = []
-        length = problem.config.max_length
-        self.visited = [0] * (length + 1)
-        self.seconds = [0.0] * (length + 1)
-        self.scores = [float("inf")] * (length + 1)
+        self.visited = [0] * (max_length + 1)
+        self.seconds = [0.0] * (max_length + 1)
+        self.scores = [float("inf")] * (max_length + 1)
         self.best = None  # (score, letters) of the best word by _rank
 
     def _arrangement_id(self, arr: tuple) -> int:
@@ -160,17 +157,14 @@ class _Walk:
 
     def outgoing(self, a: int) -> list:
         """(move index, next arrangement id, per-sector (G.real, G.imag))
-        per letter available from arrangement ``a``, in canonical order."""
+        per letter available to the mobile block in arrangement ``a``, in
+        canonical order."""
         hit = self._outgoing.get(a)
         if hit is None:
             problem = self.problem
             arr = self.arrangements[a]
-            if problem.config.weave_only:
-                letters = problem.moves(arr.index(problem.mobile) + 1)
-            else:
-                letters = self.letters
             hit = []
-            for p, e in letters:
+            for p, e in problem.moves(arr.index(problem.mobile) + 1):
                 new_arr, gens = problem.transition(arr, p, e)
                 hit.append((self.letters.index((p, e)),
                             self._arrangement_id(new_arr),
@@ -265,10 +259,9 @@ class _Walk:
         half of its subtrees at a time.  Dedup never crosses a subtree, so
         the halves visit the nodes the whole level would.
         """
-        config = self.problem.config
-        while depth < config.max_length:
+        while depth < self.max_length:
             tree = level.tree
-            if len(level) * self.branching > _BATCH_NODES and tree[0] != tree[-1]:
+            if len(level) * _BRANCHING > _BATCH_NODES and tree[0] != tree[-1]:
                 cut = int(np.searchsorted(tree, tree[len(tree) // 2]))
                 if cut == 0:
                     cut = int(np.searchsorted(tree, tree[0], side="right"))
@@ -279,17 +272,16 @@ class _Walk:
                 return
             t0 = time.perf_counter()
             depth += 1
-            last_depth = depth == config.max_length
+            last_depth = depth == self.max_length
             level, visited = self.expand(level, only_final=last_depth)
             winner = self.winner(level)
             if not last_depth:
-                if config.dedup:
-                    level = level.take(level.first_per_key())
+                level = level.take(level.first_per_key())
                 self.keep(depth, level)
             self.tally(depth, visited, winner, t0)
 
 
-def worker_job(k: int, target: SynthesisTarget, config: SearchConfig,
+def worker_job(k: int, target: SynthesisTarget, max_length: int,
                worker: int, worker_count: int, prefix_depth: int):
     """Walk this worker's share of the word forest once, depth by depth.
 
@@ -304,8 +296,8 @@ def worker_job(k: int, target: SynthesisTarget, config: SearchConfig,
     worker count.
     """
     model = AnyonModel(k)
-    problem = _Problem(model, target, config)
-    walk = _Walk(problem)
+    problem = _Problem(model, target)
+    walk = _Walk(problem, max_length)
     t0 = time.perf_counter()
     level = walk.root()
     if worker == 0 and problem.initial_arr == problem.final_arr:
@@ -326,7 +318,7 @@ def worker_job(k: int, target: SynthesisTarget, config: SearchConfig,
         elif worker == 0:
             stub = stub[level.parent]
             visited, winner = int(np.count_nonzero(stub)), walk.winner(level, stub)
-            if config.dedup and depth < prefix_depth - 1:
+            if depth < prefix_depth - 1:
                 index = np.flatnonzero(stub)
                 stub = np.zeros(len(level), dtype=bool)
                 stub[index[level.take(index).first_per_key()]] = True
@@ -337,7 +329,7 @@ def worker_job(k: int, target: SynthesisTarget, config: SearchConfig,
     rows = []
     nodes = 0
     best = walk.scores[0]  # the empty word's
-    for depth in range(1, config.max_length + 1):
+    for depth in range(1, max_length + 1):
         nodes += walk.visited[depth]
         best = min(best, walk.scores[depth])
         rows.append((depth, best, nodes, walk.visited[depth], walk.seconds[depth]))

@@ -24,7 +24,7 @@ import numpy as np
 from .codes import CodeSpace, leakage as code_leakage, multi_qubit_code, single_qubit_code
 from .model import AnyonModel
 from .spaces import FusionTree, Grouping, enumerate_basis
-from .synth import BraidWord, SynthesisResult, distance, evaluate
+from .synth import BraidWord, SynthesisResult, distance, evaluate, make_target_E
 
 __all__ = [
     "AssemblyError",
@@ -258,14 +258,15 @@ def convert_registers(model: AnyonModel, direction: str,
         raise AssemblyError(f"direction must be merge or split, not {direction!r}")
     target_e = E.target
     _require(target_e.k == model.k, f"E: component built for k={target_e.k}")
-    _require(target_e.blocks == ((1, 2, 3), (4,), (5, 6, 7), (8,)),
+    reference = make_target_E(model)
+    _require(target_e.blocks == reference.blocks,
              "E: expected the (3,1,3,1) exchange block structure")
-    _require(E.braid.permutation() == (0, 2, 1, 3),
+    _require(E.braid.permutation() == reference.final_arrangement,
              "E: braid must move the singleton block past the second register")
-    basis8 = enumerate_basis(model, (1,) * 8, 0)
-    _require(target_e.leaves == basis8.leaves,
+    _require(target_e.leaves == reference.leaves,
              f"E: component built for leaves {target_e.leaves}; the registers "
-             f"converted here have leaves {basis8.leaves}")
+             f"converted here have leaves {reference.leaves}")
+    basis8 = enumerate_basis(model, reference.leaves, 0)
 
     U = evaluate(model, basis8, E.braid, target_e.grouping)
     products = _product_states(model)

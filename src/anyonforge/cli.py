@@ -11,8 +11,9 @@ writable before any work) and ``--format`` (stdout as ``text`` or
 ``json``; ``synth`` also prints its curve as ``csv``).  ``model``,
 ``check``, ``basis`` and ``synth`` require the level ``--k``, from 2 to
 ``MAX_LEVEL``; ``assemble`` and ``verify`` take it from their braid files.
-``--tol`` (``check``, ``synth``) and ``--phase-tol`` (``synth``) must be
-finite and positive.  A command given a flag it does not read exits 1.
+``--tol`` (``check``, ``synth``) must be finite and positive.  A command
+given a flag it does not read exits 1.  ``synth --workers N`` runs the
+search on ``min(N, cpu_count)`` processes.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 search ran
 to its length budget without converging.  All machine output is canonical
@@ -37,8 +38,7 @@ from .assemble import assemble_ccz, assemble_controlled_phase, convert_registers
 from .files import (assembled_braid_payload, braid_payload, canonical_dumps,
                     curve_csv, gate_report_payload, read_braid_file,
                     result_from_payload, write_curve_csv)
-from .model import (AnyonModel, ConsistencyError, DEFAULT_PHASE_TOLERANCE,
-                    DEFAULT_TOLERANCE, MAX_LEVEL)
+from .model import AnyonModel, ConsistencyError, DEFAULT_TOLERANCE, MAX_LEVEL
 from .spaces import enumerate_basis
 from .synth import (BUILTIN_TARGETS, SearchConfig, make_target_unitary,
                     score_braid, search, verify_braid_relations)
@@ -204,9 +204,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         target = BUILTIN_TARGETS[args.target](model)
     else:
         target = _load_unitary_target(model, Path(args.target))
-    config = SearchConfig(max_length=args.max_length, tolerance=args.tol,
-                          phase_tolerance=args.phase_tol,
-                          weave_only=args.weave_only)
+    config = SearchConfig(max_length=args.max_length, tolerance=args.tol)
     result = search(model, target, config, workers=args.workers)
     payload = braid_payload(result)
     word = " ".join(f"s{p}{'+' if e > 0 else '-'}"
@@ -333,7 +331,7 @@ def _writable(text: str) -> Path:
 
 
 def _tolerance(text: str) -> float:
-    """``--tol``, ``--phase-tol``: a finite positive number."""
+    """``--tol``: a finite positive number."""
     try:
         value = float(text)
     except ValueError:
@@ -362,7 +360,7 @@ def _build_parser() -> _Parser:
                        help="stdout format (default %(default)s)")
         if tol:
             p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
-                           help="matrix tolerance (default %(default)g)")
+                           help="tolerance (default %(default)g)")
         return p
 
     command("model", "charges, fusion table, dimensions")
@@ -382,11 +380,6 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--target", type=str, required=True,
                          help="P, B1, B3, E, or a single-qubit unitary JSON file")
     p_synth.add_argument("--max-length", type=int, default=8)
-    p_synth.add_argument("--phase-tol", type=_tolerance,
-                         default=DEFAULT_PHASE_TOLERANCE,
-                         help="exact-phase tolerance (default %(default)g)")
-    p_synth.add_argument("--weave-only", action=argparse.BooleanOptionalAction,
-                         default=True, help="restrict to one mobile block")
     p_synth.add_argument("--workers", type=int, default=1)
 
     p_asm = command("assemble", "compose stored braids into a gate", level=False)

@@ -101,7 +101,6 @@ class LeakageReport:
 
     leakage_norm: float
     worst_input: tuple[int, ...]
-    sector_phases: dict[tuple[int, ...], complex]
 
 
 def _build_code(model: AnyonModel, a: int, b: int, n: int) -> CodeSpace:
@@ -174,16 +173,11 @@ def leakage(U: np.ndarray, code: CodeSpace) -> LeakageReport:
         raise ValueError(f"operator shape {U.shape} does not match code dim {code.dim}")
     comp = list(code.computational_indices)
     rest = list(code.non_computational)
-    phases: dict[tuple[int, ...], complex] = {}
-    for sector, indices in code.grouped.sectors().items():
-        if len(indices) == 1:
-            i = indices[0]
-            phases[sector] = complex(U[i, i])
     if not rest:
-        return LeakageReport(0.0, code.computational[0][0], phases)
+        return LeakageReport(0.0, code.computational[0][0])
     off = U[np.ix_(rest, comp)]
     norm = float(np.linalg.norm(off, 2))
     col_norms = np.linalg.norm(off, axis=0)
     worst_col = int(np.argmax(col_norms))
     worst_bits = code.computational[worst_col][0]
-    return LeakageReport(norm, worst_bits, phases)
+    return LeakageReport(norm, worst_bits)

@@ -39,7 +39,6 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_TOLERANCE",
-    "DEFAULT_PHASE_TOLERANCE",
     "MAX_LEVEL",
     "ConsistencyError",
     "FMatrix",
@@ -47,10 +46,8 @@ __all__ = [
     "AnyonModel",
 ]
 
-# Default tolerances: consistency identities and a search's matrix rules,
-# and a search's exact-phase rules.
+# Default tolerance of the consistency identities and of a search's score.
 DEFAULT_TOLERANCE = 1e-9
-DEFAULT_PHASE_TOLERANCE = 1e-9
 
 # The largest level: its (k+1)^5 flat F index (see ``_FTable``) is the
 # largest that fits in int32.  A model refuses a larger level before it

@@ -30,8 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .codes import EncodingError, multi_qubit_code, single_qubit_code
-from .model import (AnyonModel, ConsistencyError, DEFAULT_PHASE_TOLERANCE,
-                    DEFAULT_TOLERANCE)
+from .model import AnyonModel, ConsistencyError, DEFAULT_TOLERANCE
 from .spaces import (
     FusionTree,
     Grouping,
@@ -307,15 +306,12 @@ class SynthesisTarget:
 class SearchConfig:
     max_length: int
     tolerance: float = DEFAULT_TOLERANCE
-    phase_tolerance: float = DEFAULT_PHASE_TOLERANCE
-    weave_only: bool = True
-    dedup: bool = True
 
     def __post_init__(self):
         if self.max_length < 1:
             raise ValueError("max_length must be at least 1")
-        if not (self.tolerance > 0 and self.phase_tolerance > 0):
-            raise ValueError("tolerances must be positive numbers")
+        if not self.tolerance > 0:
+            raise ValueError("tolerance must be a positive number")
 
 
 @dataclass
@@ -344,7 +340,6 @@ class SynthesisResult:
     leakage: float
     converged: bool
     sector_phases: dict = field(compare=False)
-    exchange_counts: dict = field(compare=False)
     stats: SearchStats = field(compare=False)
 
 
@@ -500,10 +495,9 @@ class _Problem:
     checks it bit for bit against complex scalar arithmetic.
     """
 
-    def __init__(self, model: AnyonModel, target: SynthesisTarget, config: SearchConfig):
+    def __init__(self, model: AnyonModel, target: SynthesisTarget):
         self.model = model
         self.target = target
-        self.config = config
         self.block_count = target.block_count
         self.initial_arr = tuple(range(self.block_count))
         self.final_arr = target.final_arrangement
@@ -616,18 +610,14 @@ def _replay(problem: _Problem, letters: tuple) -> tuple:
 
 
 def _merge_rows(all_rows: list) -> SearchStats:
+    """One curve from the shares' rows; every share has a row per depth."""
     stats = SearchStats()
-    by_length: dict[int, list] = {}
-    for rows in all_rows:
-        for length, best, nodes, frontier, seconds in rows:
-            by_length.setdefault(length, []).append((best, nodes, frontier, seconds))
-    for length in sorted(by_length):
-        entries = by_length[length]
-        stats.add(length,
-                  min(entry[0] for entry in entries),
-                  sum(entry[1] for entry in entries),
-                  sum(entry[2] for entry in entries),
-                  sum(entry[3] for entry in entries))
+    for same_depth in zip(*all_rows):
+        stats.add(same_depth[0][0],
+                  min(row[1] for row in same_depth),
+                  sum(row[2] for row in same_depth),
+                  sum(row[3] for row in same_depth),
+                  sum(row[4] for row in same_depth))
     return stats
 
 
@@ -636,10 +626,10 @@ def search(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
     """Exhaustive enumeration of words up to config.max_length, in one pass.
 
     Deterministic regardless of worker count: the prefix forest at a fixed
-    depth is dealt round-robin to ``workers`` shares and results merge by
-    (score, length, letter sequence).  The shares run on at most
-    ``os.cpu_count()`` processes.  The best word is re-verified on the
-    full fusion space before the result is returned.
+    depth is dealt round-robin to ``min(workers, os.cpu_count())`` shares,
+    one per process (in this process when that is one), and results merge
+    by (score, length, letter sequence).  The best word is re-verified on
+    the full fusion space before the result is returned.
     """
     if model.k != target.k:
         raise ValueError(f"model k={model.k} does not match target k={target.k}")
@@ -650,12 +640,13 @@ def search(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
 
     start = time.perf_counter()
     prefix_depth = min(4, config.max_length)
-    args = [(model.k, target, config, w, workers, prefix_depth)
-            for w in range(workers)]
-    if workers == 1:
+    shares = min(workers, os.cpu_count() or 1)
+    args = [(model.k, target, config.max_length, w, shares, prefix_depth)
+            for w in range(shares)]
+    if shares == 1:
         outcomes = [worker_job(*args[0])]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=shares) as pool:
             outcomes = list(pool.map(worker_job_star, args))
     bests = [best for best, _ in outcomes if best is not None]
     if not bests:
@@ -664,15 +655,16 @@ def search(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
     stats = _merge_rows([rows for _, rows in outcomes])
     stats.wall_seconds = time.perf_counter() - start
     word = BraidWord(target.block_count, letters)
-    return _finish(model, target, config, word, stats)
+    return _finish(model, target, config.tolerance, word, stats)
 
 
-def score_braid(model: AnyonModel, target: SynthesisTarget, braid: BraidWord,
-                config: SearchConfig | None = None) -> SynthesisResult:
+def score_braid(model: AnyonModel, target: SynthesisTarget,
+                braid: BraidWord) -> SynthesisResult:
     """Score a stored word against a target without searching.
 
     Runs the same dual-route verification as search: incremental sector
     tracking must agree with the full-space product within 1e-12.
+    Convergence is judged at ``DEFAULT_TOLERANCE``.
     """
     if model.k != target.k:
         raise ValueError(f"model k={model.k} does not match target k={target.k}")
@@ -680,15 +672,13 @@ def score_braid(model: AnyonModel, target: SynthesisTarget, braid: BraidWord,
         raise ValueError("braid strand count does not match the block system")
     if braid.permutation() != target.final_arrangement:
         raise ValueError("braid does not realize the target arrangement")
-    if config is None:
-        config = SearchConfig(max_length=max(1, len(braid)))
-    return _finish(model, target, config, braid, SearchStats())
+    return _finish(model, target, DEFAULT_TOLERANCE, braid, SearchStats())
 
 
-def _finish(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
+def _finish(model: AnyonModel, target: SynthesisTarget, tolerance: float,
             word: BraidWord, stats: SearchStats) -> SynthesisResult:
     """Re-verify the chosen word on the full space and build the result."""
-    problem = _Problem(model, target, config)
+    problem = _Problem(model, target)
     coarse = _coarse_from_full(model, target, word)
     re, im = problem.rows([_replay(problem, word.letters),
                            [coarse[s] for s in problem.sectors]])
@@ -699,14 +689,6 @@ def _finish(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
             f"({full_score}) disagree")
 
     re, im = re[1:], im[1:]
-    phase_dev = matrix_dev = 0.0
-    for (rule, _), dev in zip(problem.rules, problem.deviations(re, im, problem.rules)):
-        if isinstance(rule, PhaseRule):
-            phase_dev = max(phase_dev, float(dev[0]))
-        else:
-            matrix_dev = max(matrix_dev, float(dev[0]))
-    converged = (matrix_dev <= config.tolerance
-                 and phase_dev <= config.phase_tolerance)
     # Leakage: the part of each designated column off its target direction.
     leaks = [(replace(rule, exact_value=None), si) for rule, si in problem.rules
              if isinstance(rule, ColumnRule)]
@@ -718,8 +700,7 @@ def _finish(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
             phases[sector] = complex(matrix[0, 0])
     return SynthesisResult(
         target=target, braid=word, distance=full_score, leakage=leak,
-        converged=converged, sector_phases=phases,
-        exchange_counts=exchange_counts(word, target.grouping), stats=stats)
+        converged=full_score <= tolerance, sector_phases=phases, stats=stats)
 
 
 def _coarse_from_full(model: AnyonModel, target: SynthesisTarget,

@@ -30,62 +30,58 @@ MATRICES = {
     "H": [[2 ** -0.5, 2 ** -0.5], [2 ** -0.5, -(2 ** -0.5)]],
 }
 
-# (k, target, max_length, weave_only, dedup, workers)
+# (k, target, max_length, workers)
 CASES = [
-    (2, "P", 12, True, True, 1),
-    (2, "P", 9, True, False, 1),
-    (2, "B3", 10, True, True, 1),
-    (2, "E", 10, True, True, 1),
-    (2, "NOT", 12, True, True, 1),
-    (2, "H", 8, True, True, 1),
-    (3, "P", 12, True, True, 1),
-    (3, "P", 10, True, True, 3),
-    (3, "B1", 12, True, True, 1),
-    (3, "B1", 6, False, True, 1),
-    (3, "B3", 12, True, True, 1),
-    (3, "E", 12, True, True, 1),
-    (3, "NOT", 12, True, True, 1),
-    (3, "NOT", 3, True, True, 2),
-    (3, "H", 10, True, True, 1),
-    (4, "P", 10, True, True, 1),
-    (4, "B1", 10, True, True, 1),
-    (4, "E", 10, True, True, 1),
-    (4, "NOT", 10, True, True, 1),
-    (5, "P", 12, True, True, 1),
-    (5, "B1", 10, True, True, 1),
-    (5, "B3", 10, True, True, 1),
-    (5, "E", 10, True, True, 1),
-    (5, "NOT", 11, True, True, 2),
-    (5, "H", 10, True, True, 1),
-    (6, "P", 10, True, True, 1),
-    (6, "B1", 12, True, True, 1),
-    (6, "E", 10, True, True, 1),
-    (6, "NOT", 10, True, True, 1),
-    (7, "P", 10, True, True, 1),
-    (7, "B3", 10, True, True, 1),
-    (7, "E", 12, True, True, 1),
-    (7, "NOT", 8, True, True, 1),
-    (7, "H", 10, True, True, 1),
+    (2, "P", 12, 1),
+    (2, "B3", 10, 1),
+    (2, "E", 10, 1),
+    (2, "NOT", 12, 1),
+    (2, "H", 8, 1),
+    (3, "P", 12, 1),
+    (3, "P", 10, 3),
+    (3, "B1", 12, 1),
+    (3, "B3", 12, 1),
+    (3, "E", 12, 1),
+    (3, "NOT", 12, 1),
+    (3, "NOT", 3, 2),
+    (3, "H", 10, 1),
+    (4, "P", 10, 1),
+    (4, "B1", 10, 1),
+    (4, "E", 10, 1),
+    (4, "NOT", 10, 1),
+    (5, "P", 12, 1),
+    (5, "B1", 10, 1),
+    (5, "B3", 10, 1),
+    (5, "E", 10, 1),
+    (5, "NOT", 11, 2),
+    (5, "H", 10, 1),
+    (6, "P", 10, 1),
+    (6, "B1", 12, 1),
+    (6, "E", 10, 1),
+    (6, "NOT", 10, 1),
+    (7, "P", 10, 1),
+    (7, "B3", 10, 1),
+    (7, "E", 12, 1),
+    (7, "NOT", 8, 1),
+    (7, "H", 10, 1),
 ]
 
 
 def case_id(case) -> str:
-    k, name, length, weave, dedup, workers = case
-    return (f"k{k}-{name}-L{length}" + ("" if weave else "-braid")
-            + ("" if dedup else "-nodedup") + f"-w{workers}")
+    k, name, length, workers = case
+    return f"k{k}-{name}-L{length}-w{workers}"
 
 
 def run_case(case):
     """The search result of one case."""
-    k, name, length, weave, dedup, workers = case
+    k, name, length, workers = case
     model = AnyonModel(k)
     if name in BUILTIN_TARGETS:
         target = BUILTIN_TARGETS[name](model)
     else:
         target = make_target_unitary(model, np.array(MATRICES[name], dtype=complex),
                                      name=name)
-    config = SearchConfig(max_length=length, weave_only=weave, dedup=dedup)
-    return search(model, target, config, workers=workers)
+    return search(model, target, SearchConfig(max_length=length), workers=workers)
 
 
 def record(result) -> dict:

@@ -127,8 +127,7 @@ def test_fabricated_component_score_is_caught(model3, parts3):
     honest = parts3["P"]
     fake = SynthesisResult(
         target=honest.target, braid=BraidWord(4, ()), distance=0.0,
-        leakage=0.0, converged=True, sector_phases={}, exchange_counts={},
-        stats=None)
+        leakage=0.0, converged=True, sector_phases={}, stats=None)
     report = assemble_controlled_phase(model3, fake)
     assert not report.bound_satisfied
 

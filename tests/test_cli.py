@@ -426,6 +426,10 @@ def test_malformed_unitary_target_files_exit_1(valid_inputs, data):
     ("synth --k 3 --target P --tol nan", 1),
     ("synth --k 3 --target P --tol 0", 1),
     ("synth --k 3 --target P --phase-tol nan", 1),
+    # The search has one tolerance and walks weaves only.
+    ("synth --k 3 --target P --phase-tol 1e-9", 1),
+    ("synth --k 3 --target P --weave-only", 1),
+    ("synth --k 3 --target P --no-weave-only", 1),
     # --out must take the JSON artifact, and not where the curve CSV goes.
     ("check --k 2 --out {out}/missing/check.json", 1),
     ("synth --k 3 --target P --out {out}/missing/p.json", 1),

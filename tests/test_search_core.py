@@ -124,7 +124,7 @@ def _weave_problem(draw):
         kind="sector_map", name="T", k=model.k, leaves=(1, 1, 1, 1),
         blocks=((1,), (2,), (3,), (4,)), mobile=1, span=(1, 4),
         final_arrangement=(0, 1, 2, 3), rules=tuple(rules))
-    return synth._Problem(model, target, SearchConfig(max_length=1))
+    return synth._Problem(model, target)
 
 
 @st.composite

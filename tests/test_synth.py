@@ -11,7 +11,6 @@ from anyonforge import (
     AnyonModel,
     BraidWord,
     ColumnRule,
-    DEFAULT_PHASE_TOLERANCE,
     DEFAULT_TOLERANCE,
     EncodingError,
     Grouping,
@@ -282,14 +281,10 @@ def test_unitary_target_validation(model3):
 # --- search --------------------------------------------------------------
 
 def test_search_config_tolerances():
-    config = SearchConfig(max_length=1)
-    assert (config.tolerance, config.phase_tolerance) == (
-        DEFAULT_TOLERANCE, DEFAULT_PHASE_TOLERANCE) == (1e-9, 1e-9)
+    assert SearchConfig(max_length=1).tolerance == DEFAULT_TOLERANCE == 1e-9
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             SearchConfig(max_length=1, tolerance=bad)
-        with pytest.raises(ValueError):
-            SearchConfig(max_length=1, phase_tolerance=bad)
 
 
 def test_search_rejects_mismatched_model(model2, model3):
@@ -316,10 +311,12 @@ def test_search_deterministic_across_workers(model3):
 
 
 def test_worker_pool_is_capped_at_cpu_count(model3, monkeypatch):
-    """Any number of shares runs on at most os.cpu_count() processes, and
-    the shares still decide the result.  The pool is replaced by one that
-    records its size and maps in this process, so no process starts."""
+    """``workers`` asks for up to os.cpu_count() shares, one per process,
+    and the result does not depend on it.  The pool is replaced by one that
+    records its size and the shares it maps, and maps them in this
+    process, so no process starts."""
     sizes = []
+    mapped = []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -332,7 +329,9 @@ def test_worker_pool_is_capped_at_cpu_count(model3, monkeypatch):
             return False
 
         def map(self, fn, iterable):
-            return list(map(fn, iterable))
+            shares = list(iterable)
+            mapped.append(len(shares))
+            return list(map(fn, shares))
 
     monkeypatch.setattr(synth, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(synth.os, "cpu_count", lambda: 3)
@@ -340,23 +339,16 @@ def test_worker_pool_is_capped_at_cpu_count(model3, monkeypatch):
     target = make_target_B1(model3)
     one = search(model3, target, config, workers=1)
     strip = lambda rows: [r[:4] for r in rows]
+    assert sizes == mapped == []
     for workers, size in ((2, 2), (64, 3)):
         many = search(model3, target, config, workers=workers)
-        assert sizes.pop() == size
+        assert sizes.pop() == mapped.pop() == size
         assert many.braid == one.braid
         assert repr(many.distance) == repr(one.distance)
         assert strip(many.stats.rows) == strip(one.stats.rows)
     monkeypatch.setattr(synth.os, "cpu_count", lambda: None)
     search(model3, target, config, workers=4)
-    assert sizes == [1]
-
-
-def test_dedup_does_not_change_results(model3):
-    target = make_target_B3(model3)
-    plain = search(model3, target, SearchConfig(max_length=8, dedup=False))
-    deduped = search(model3, target, SearchConfig(max_length=8, dedup=True))
-    assert plain.braid == deduped.braid
-    assert repr(plain.distance) == repr(deduped.distance)
+    assert sizes == mapped == []
 
 
 def test_search_monotone_in_length(model3):

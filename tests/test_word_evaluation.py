@@ -17,7 +17,6 @@ from anyonforge import (
     BraidWord,
     Grouping,
     MatrixRule,
-    SearchConfig,
     SynthesisTarget,
     braid_generator,
     enumerate_basis,
@@ -118,7 +117,7 @@ def test_three_evaluation_routes_agree(problem):
     assert np.abs(U - U_fine).max(initial=0.0) < 1e-12
 
     target = _target(model, leaves, grouping)
-    tracker = synth._Problem(model, target, SearchConfig(max_length=1))
+    tracker = synth._Problem(model, target)
     incremental = synth._replay(tracker, word.letters)
     composite = synth._coarse_from_full(model, target, word)
     with pytest.MonkeyPatch.context() as patch:
