@@ -12,6 +12,9 @@ and a node's matrix into float64 ufuncs in the order of complex scalar
 arithmetic, so its products equal the scalar ones bit for bit
 (``test_search_core`` keeps the scalar route as the oracle); complex ufuncs
 and ``matmul`` do not.
+
+``worker_job`` cuts the forest at ``_PREFIX_DEPTH``: ``_Walk.descend`` walks
+the stub (the shorter words) in worker 0 and each prefix's subtree.
 """
 
 from __future__ import annotations
@@ -121,6 +124,9 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 # it; bounds the walk's memory to a few MB.
 _BATCH_NODES = 1 << 13
 
+# Length of the prefixes dealt to the shares (capped at the length limit).
+_PREFIX_DEPTH = 4
+
 # Most children of one weave node: the mobile block's four letters, less the
 # inverse of the last one.
 _BRANCHING = 3
@@ -133,7 +139,6 @@ class _Walk:
 
     def __init__(self, problem: _Problem, max_length: int):
         self.problem = problem
-        self.max_length = max_length
         # Move index -> letter; (p, 1) and (p, -1) are 2(p-1) and 2(p-1)+1,
         # so index order is lex order and m ^ 1 is the inverse of m.
         self.letters = problem.all_moves()
@@ -231,13 +236,10 @@ class _Walk:
             if self.best is None or _rank(*winner) < _rank(*self.best):
                 self.best = winner
 
-    def winner(self, level: _Level, mask=None):
+    def winner(self, level: _Level):
         """(score, letters) of the lex-first best node in the final
-        arrangement (and in ``mask``), or None."""
-        hit = level.arr == self.final
-        if mask is not None:
-            hit &= mask
-        index = np.flatnonzero(hit)
+        arrangement, or None."""
+        index = np.flatnonzero(level.arr == self.final)
         if not len(index):
             return None
         scores = self.problem.score(level.re[index], level.im[index])
@@ -252,14 +254,15 @@ class _Walk:
             node = parent[node]
         return tuple(reversed(letters))
 
-    def descend(self, level: _Level, depth: int) -> None:
-        """Walk every depth below ``level``, the nodes kept at ``depth``.
+    def descend(self, level: _Level, depth: int, stop: int) -> None:
+        """Walk every depth below ``level``, the nodes kept at ``depth``,
+        down to ``stop``.
 
         A level whose children could pass ``_BATCH_NODES`` is walked one
         half of its subtrees at a time.  Dedup never crosses a subtree, so
         the halves visit the nodes the whole level would.
         """
-        while depth < self.max_length:
+        while depth < stop:
             tree = level.tree
             if len(level) * _BRANCHING > _BATCH_NODES and tree[0] != tree[-1]:
                 cut = int(np.searchsorted(tree, tree[len(tree) // 2]))
@@ -268,11 +271,11 @@ class _Walk:
                 for half in (slice(0, cut), slice(cut, None)):
                     part = level.take(half)
                     self.keep(depth, part)
-                    self.descend(part, depth)
+                    self.descend(part, depth, stop)
                 return
             t0 = time.perf_counter()
             depth += 1
-            last_depth = depth == self.max_length
+            last_depth = depth == stop
             level, visited = self.expand(level, only_final=last_depth)
             winner = self.winner(level)
             if not last_depth:
@@ -282,49 +285,43 @@ class _Walk:
 
 
 def worker_job(k: int, target: SynthesisTarget, max_length: int,
-               worker: int, worker_count: int, prefix_depth: int):
+               worker: int, worker_count: int):
     """Walk this worker's share of the word forest once, depth by depth.
 
-    Words shorter than ``prefix_depth`` are the stub: worker 0 visits them
-    with one seen set of its own.  Every freely reduced word of exactly
-    ``prefix_depth`` letters is a prefix; prefixes are dealt round-robin,
-    and each roots a subtree with its own seen set.  A seen set passes the
-    first node per (depth, arrangement, rounded state) in lex order, and
-    only nodes it passes are expanded.  The nodes visited at a depth do not
-    depend on the length limit, so the curve row for length L counts the
-    visits at depths <= L, and counts and results are identical for any
-    worker count.
+    Words shorter than the prefix depth (``_PREFIX_DEPTH``, or
+    ``max_length`` if shorter) are the stub: worker 0 walks them with
+    ``descend`` and one seen set of its own.  Every freely reduced word of
+    exactly the prefix depth is a prefix; prefixes are dealt round-robin,
+    and ``descend`` walks each one's subtree with a seen set of its own.  A
+    seen set passes the first node per (depth, arrangement, rounded state)
+    in lex order, and only nodes it passes are expanded.  The nodes visited
+    at a depth do not depend on the length limit, so the curve row for
+    length L counts the visits at depths <= L, and counts and results are
+    identical for any worker count.
     """
     model = AnyonModel(k)
     problem = _Problem(model, target)
     walk = _Walk(problem, max_length)
+    prefix_depth = min(_PREFIX_DEPTH, max_length)
     t0 = time.perf_counter()
-    level = walk.root()
-    if worker == 0 and problem.initial_arr == problem.final_arr:
-        walk.tally(0, 0, (float(problem.score(level.re, level.im)[0]), ()), t0)
+    root = walk.root()
+    if worker == 0:
+        if problem.initial_arr == problem.final_arr:
+            walk.tally(0, 0, (float(problem.score(root.re, root.im)[0]), ()), t0)
+        walk.keep(0, root)
+        walk.descend(root, 0, prefix_depth - 1)
 
-    # Depths up to the prefixes: the full tree, so that every prefix is
-    # reached, with the stub's nodes as a mask over it.
-    walk.keep(0, level)
-    stub = np.ones(1, dtype=bool)  # nodes the stub's seen set lets through
-    for depth in range(1, prefix_depth + 1):
-        t0 = time.perf_counter()
-        level, _ = walk.expand(level)
-        visited, winner = 0, None
-        if depth == prefix_depth:
-            level = level.take(np.arange(worker, len(level), worker_count))
-            level.tree = np.arange(len(level), dtype=np.int32)
-            visited, winner = len(level), walk.winner(level)
-        elif worker == 0:
-            stub = stub[level.parent]
-            visited, winner = int(np.count_nonzero(stub)), walk.winner(level, stub)
-            if depth < prefix_depth - 1:
-                index = np.flatnonzero(stub)
-                stub = np.zeros(len(level), dtype=bool)
-                stub[index[level.take(index).first_per_key()]] = True
+    # The full tree down to the prefixes, so that every prefix is reached.
+    t0 = time.perf_counter()
+    level = root
+    for depth in range(prefix_depth):
         walk.keep(depth, level)
-        walk.tally(depth, visited, winner, t0)
-    walk.descend(level, prefix_depth)
+        level, _ = walk.expand(level)
+    level = level.take(np.arange(worker, len(level), worker_count))
+    level.tree = np.arange(len(level), dtype=np.int32)
+    walk.tally(prefix_depth, len(level), walk.winner(level), t0)
+    walk.keep(prefix_depth, level)
+    walk.descend(level, prefix_depth, max_length)
 
     rows = []
     nodes = 0
@@ -334,7 +331,3 @@ def worker_job(k: int, target: SynthesisTarget, max_length: int,
         best = min(best, walk.scores[depth])
         rows.append((depth, best, nodes, walk.visited[depth], walk.seconds[depth]))
     return walk.best, rows
-
-
-def worker_job_star(args):
-    return worker_job(*args)

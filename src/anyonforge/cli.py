@@ -40,8 +40,8 @@ from .files import (assembled_braid_payload, braid_payload, canonical_dumps,
                     result_from_payload, write_curve_csv)
 from .model import AnyonModel, ConsistencyError, DEFAULT_TOLERANCE, MAX_LEVEL
 from .spaces import enumerate_basis
-from .synth import (BUILTIN_TARGETS, SearchConfig, make_target_unitary,
-                    score_braid, search, verify_braid_relations)
+from .synth import (BUILTIN_TARGETS, make_target_unitary, score_braid, search,
+                    verify_braid_relations)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -204,8 +204,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         target = BUILTIN_TARGETS[args.target](model)
     else:
         target = _load_unitary_target(model, Path(args.target))
-    config = SearchConfig(max_length=args.max_length, tolerance=args.tol)
-    result = search(model, target, config, workers=args.workers)
+    result = search(model, target, args.max_length, tolerance=args.tol,
+                    workers=args.workers)
     payload = braid_payload(result)
     word = " ".join(f"s{p}{'+' if e > 0 else '-'}"
                     for p, e in result.braid.letters) or "(empty)"
@@ -323,9 +323,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _writable(text: str) -> Path:
-    """``--out``: a path in a directory this process may write to."""
+    """``--out``: a file path in a directory this process may write to."""
     path = Path(text)
-    if not os.access(path.parent, os.W_OK):
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"output path {path} is a directory")
+    if not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
         raise argparse.ArgumentTypeError(f"output path {path} is not writable")
     return path
 

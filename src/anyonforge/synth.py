@@ -11,9 +11,9 @@ exchanges preserve every block's charge and act on coarse trees only
 (block-internal states ride along untouched), the search tracks one small
 coarse matrix per constrained charge sector and scores candidates directly
 from those.  It visits each word length once, all words of one length
-together as numpy arrays (``_frontier``).  The returned braid is re-verified on the full
-fusion space by an independent route (products of composite generators)
-before reporting.
+together as numpy arrays (``_frontier``).  The returned braid's sector
+matrices are re-derived on the full fusion space by an independent route
+(products of composite generators) and compared entry by entry.
 
 Targets are data: each names the block system, the mobile block, and a set
 of per-sector rules (pinned phases, required image columns, or exact
@@ -26,6 +26,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .spaces import (
 
 __all__ = [
     "BraidWord",
-    "SearchConfig",
     "SearchStats",
     "SynthesisResult",
     "SynthesisTarget",
@@ -300,18 +300,6 @@ class SynthesisTarget:
 
     def scored_rules(self) -> tuple:
         return tuple(r for r in self.rules if r.scored)
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    max_length: int
-    tolerance: float = DEFAULT_TOLERANCE
-
-    def __post_init__(self):
-        if self.max_length < 1:
-            raise ValueError("max_length must be at least 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be a positive number")
 
 
 @dataclass
@@ -621,33 +609,36 @@ def _merge_rows(all_rows: list) -> SearchStats:
     return stats
 
 
-def search(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
-           workers: int = 1) -> SynthesisResult:
-    """Exhaustive enumeration of words up to config.max_length, in one pass.
+def search(model: AnyonModel, target: SynthesisTarget, max_length: int,
+           tolerance: float = DEFAULT_TOLERANCE, workers: int = 1) -> SynthesisResult:
+    """Exhaustive enumeration of words up to ``max_length``, in one pass.
 
-    Deterministic regardless of worker count: the prefix forest at a fixed
-    depth is dealt round-robin to ``min(workers, os.cpu_count())`` shares,
-    one per process (in this process when that is one), and results merge
-    by (score, length, letter sequence).  The best word is re-verified on
-    the full fusion space before the result is returned.
+    Deterministic regardless of worker count: worker 0 walks the short
+    words (the stub) with ``_Walk.descend``, the prefixes at a fixed depth
+    are dealt round-robin to ``min(workers, os.cpu_count())`` shares, one
+    per process (in this process when that is one), and results merge by
+    (score, length, letter sequence).  The best word is re-verified on the
+    full fusion space; it converged if its distance is <= ``tolerance``.
     """
     if model.k != target.k:
         raise ValueError(f"model k={model.k} does not match target k={target.k}")
+    if max_length < 1:
+        raise ValueError("max_length must be at least 1")
+    if not tolerance > 0:
+        raise ValueError("tolerance must be a positive number")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     # Loaded on the first search, so commands that run none skip it.
-    from ._frontier import worker_job, worker_job_star
+    from ._frontier import worker_job
 
     start = time.perf_counter()
-    prefix_depth = min(4, config.max_length)
     shares = min(workers, os.cpu_count() or 1)
-    args = [(model.k, target, config.max_length, w, shares, prefix_depth)
-            for w in range(shares)]
+    job = partial(worker_job, model.k, target, max_length, worker_count=shares)
     if shares == 1:
-        outcomes = [worker_job(*args[0])]
+        outcomes = [job(0)]
     else:
         with ProcessPoolExecutor(max_workers=shares) as pool:
-            outcomes = list(pool.map(worker_job_star, args))
+            outcomes = list(pool.map(job, range(shares)))
     bests = [best for best, _ in outcomes if best is not None]
     if not bests:
         raise RuntimeError("no candidate word reached the final arrangement")
@@ -655,15 +646,16 @@ def search(model: AnyonModel, target: SynthesisTarget, config: SearchConfig,
     stats = _merge_rows([rows for _, rows in outcomes])
     stats.wall_seconds = time.perf_counter() - start
     word = BraidWord(target.block_count, letters)
-    return _finish(model, target, config.tolerance, word, stats)
+    return _finish(model, target, tolerance, word, stats)
 
 
 def score_braid(model: AnyonModel, target: SynthesisTarget,
                 braid: BraidWord) -> SynthesisResult:
     """Score a stored word against a target without searching.
 
-    Runs the same dual-route verification as search: incremental sector
-    tracking must agree with the full-space product within 1e-12.
+    Runs the same dual-route verification as search: every entry of the
+    incrementally tracked sector matrices must agree with the full-space
+    product within 1e-12.
     Convergence is judged at ``DEFAULT_TOLERANCE``.
     """
     if model.k != target.k:
@@ -677,18 +669,20 @@ def score_braid(model: AnyonModel, target: SynthesisTarget,
 
 def _finish(model: AnyonModel, target: SynthesisTarget, tolerance: float,
             word: BraidWord, stats: SearchStats) -> SynthesisResult:
-    """Re-verify the chosen word on the full space and build the result."""
+    """Check the two routes' sector matrices agree entry by entry, then
+    build the result from the full-space route."""
     problem = _Problem(model, target)
     coarse = _coarse_from_full(model, target, word)
     re, im = problem.rows([_replay(problem, word.letters),
                            [coarse[s] for s in problem.sectors]])
-    incremental, full_score = problem.score(re, im).tolist()
-    if abs(full_score - incremental) > 1e-12:
+    gap = float(np.hypot(re[0] - re[1], im[0] - im[1]).max())
+    if not gap <= 1e-12:
         raise ConsistencyError(
-            f"coarse tracking ({incremental}) and full-space evaluation "
-            f"({full_score}) disagree")
+            f"coarse tracking and full-space evaluation disagree: sector "
+            f"entries differ by up to {gap!r}")
 
     re, im = re[1:], im[1:]
+    full_score = float(problem.score(re, im)[0])
     # Leakage: the part of each designated column off its target direction.
     leaks = [(replace(rule, exact_value=None), si) for rule, si in problem.rules
              if isinstance(rule, ColumnRule)]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from anyonforge import AnyonModel, SearchConfig, make_target_unitary, search
+from anyonforge import AnyonModel, make_target_unitary, search
 from anyonforge.synth import BUILTIN_TARGETS
 
 GOLDENS = Path(__file__).parent / "data" / "search_goldens.json"
@@ -81,7 +81,7 @@ def run_case(case):
     else:
         target = make_target_unitary(model, np.array(MATRICES[name], dtype=complex),
                                      name=name)
-    return search(model, target, SearchConfig(max_length=length), workers=workers)
+    return search(model, target, length, workers=workers)
 
 
 def record(result) -> dict:

@@ -18,7 +18,6 @@ import pytest
 from anyonforge import (
     AnyonModel,
     BraidWord,
-    SearchConfig,
     assemble_ccz,
     assemble_controlled_phase,
     braid_generator,
@@ -44,12 +43,12 @@ def announce(number, text):
 def gate_parts():
     """Acceptance-grade k=3 components for the assembly criteria."""
     model = AnyonModel(3)
-    config = SearchConfig(max_length=16)
+    length = 16
     return model, {
-        "P": search(model, make_target_P(model), config),
-        "B1": search(model, make_target_B1(model), config),
-        "B3": search(model, make_target_B3(model), config),
-        "E": search(model, make_target_E(model), SearchConfig(max_length=15)),
+        "P": search(model, make_target_P(model), length),
+        "B1": search(model, make_target_B1(model), length),
+        "B3": search(model, make_target_B3(model), length),
+        "E": search(model, make_target_E(model), 15),
     }
 
 
@@ -130,8 +129,7 @@ def test_criterion_5_parallel_determinism(tmp_path, capsys):
 
     model = AnyonModel(3)
     for workers in (1, 3):
-        result = search(model, make_target_B1(model),
-                        SearchConfig(max_length=8), workers=workers)
+        result = search(model, make_target_B1(model), 8, workers=workers)
         for length, _, _, frontier, _ in result.stats.rows:
             assert frontier == 2 * 3 ** (length // 2), (workers, length)
     announce(5, "1/2/3-worker artifacts byte-identical; frontier law "
@@ -143,7 +141,7 @@ def test_criterion_6_no_exact_phase_weave_at_k2():
     best distance pinned; no braid reaches 1e-9, so the conditional
     controlled-Z assembly branch stays idle."""
     model = AnyonModel(2)
-    result = search(model, make_target_P(model), SearchConfig(max_length=12))
+    result = search(model, make_target_P(model), 12)
     assert result.distance == 1.9999999999999822
     assert not result.converged
     if result.distance < 1e-9:  # pragma: no cover - documented dead branch
@@ -165,8 +163,7 @@ def test_criterion_7_deepening_curve_for_not_gate():
     start = time.perf_counter()
     best = {}
     for length in (8, 10, 12):
-        best[length] = search(model, target,
-                              SearchConfig(max_length=length)).distance
+        best[length] = search(model, target, length).distance
     elapsed = time.perf_counter() - start
     assert best == goldens
     assert best[8] >= best[10] >= best[12]

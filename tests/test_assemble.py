@@ -10,7 +10,6 @@ from anyonforge import (
     BraidWord,
     FusionTree,
     Grouping,
-    SearchConfig,
     SynthesisResult,
     assemble_ccz,
     assemble_controlled_phase,
@@ -32,12 +31,12 @@ from anyonforge import assemble
 @pytest.fixture(scope="module")
 def parts3(model3):
     """Moderately optimized k=3 components shared across assembly tests."""
-    config = SearchConfig(max_length=10)
+    length = 10
     return {
-        "P": search(model3, make_target_P(model3), config),
-        "B1": search(model3, make_target_B1(model3), config),
-        "B3": search(model3, make_target_B3(model3), config),
-        "E": search(model3, make_target_E(model3), SearchConfig(max_length=11)),
+        "P": search(model3, make_target_P(model3), length),
+        "B1": search(model3, make_target_B1(model3), length),
+        "B3": search(model3, make_target_B3(model3), length),
+        "E": search(model3, make_target_E(model3), 11),
     }
 
 
@@ -138,7 +137,7 @@ def test_assembly_rejects_wrong_component_shape(model3, parts3):
 
 
 def test_assembly_rejects_wrong_level(model2, model3):
-    p2 = search(model2, make_target_P(model2), SearchConfig(max_length=2))
+    p2 = search(model2, make_target_P(model2), 2)
     with pytest.raises(AssemblyError):
         assemble_controlled_phase(model3, p2)
 

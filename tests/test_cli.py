@@ -3,12 +3,13 @@
 import contextlib
 import io
 import json
+import shlex
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anyonforge import (AnyonModel, SearchConfig, cli, search, synth,
+from anyonforge import (AnyonModel, cli, make_target_B1, score_braid, search, synth,
                         write_braid_file)
 from anyonforge.cli import main
 from anyonforge.synth import BUILTIN_TARGETS
@@ -173,6 +174,13 @@ def test_dual_route_mismatch_exits_2(capsys, tmp_path, monkeypatch):
     assert "disagree" in err
 
 
+def test_verify_accepts_words_whose_scores_cancel(capsys, tmp_path, model3, b1_word):
+    """The routes' sector matrices agree; their square-rooted scores need not."""
+    path = tmp_path / "b1.json"
+    write_braid_file(path, score_braid(model3, make_target_B1(model3), b1_word))
+    assert run(capsys, "verify", str(path))[0] == 0
+
+
 def test_synth_deterministic_across_workers(capsys, tmp_path):
     one, two = tmp_path / "one.json", tmp_path / "two.json"
     run(capsys, "synth", "--k", "3", "--target", "B1", "--max-length", "6",
@@ -229,8 +237,7 @@ def test_assemble_refuses_components_for_other_charges(capsys, tmp_path, name,
     charges verifies, but is refused by the assembly instead of being
     evaluated on the spin-1/2 system."""
     model = AnyonModel(5)
-    result = search(model, BUILTIN_TARGETS[name](model, charges),
-                    SearchConfig(max_length=length))
+    result = search(model, BUILTIN_TARGETS[name](model, charges), length)
     assert result.target.leaves != (1,) * len(result.target.leaves)
     path = tmp_path / f"{name}.json"
     write_braid_file(path, result)
@@ -434,6 +441,11 @@ def test_malformed_unitary_target_files_exit_1(valid_inputs, data):
     ("check --k 2 --out {out}/missing/check.json", 1),
     ("synth --k 3 --target P --out {out}/missing/p.json", 1),
     ("synth --k 3 --target P --out {out}/p.csv", 1),
+    # --out names a file, not a directory, inside a directory.
+    ("model --k 3 --out {out}", 1),
+    ("model --k 3 --out ''", 1),
+    ("synth --k 3 --target P --out {out}", 1),
+    ("synth --k 3 --target P --out {p}/x.json", 1),
 ])
 def test_flag_surface(valid_inputs, tmp_path, monkeypatch, argv, code):
     """Every argv is settled before any search and writes no file."""
@@ -445,5 +457,5 @@ def test_flag_surface(valid_inputs, tmp_path, monkeypatch, argv, code):
 
     monkeypatch.setattr(cli, "search", refuse)
     argv = argv.format(p=work / "p.json", huge=work / "huge.json", out=tmp_path)
-    assert _exit_code(*argv.split()) == code
+    assert _exit_code(*shlex.split(argv)) == code
     assert list(tmp_path.iterdir()) == []

@@ -8,7 +8,6 @@ import pytest
 
 from anyonforge import (
     AnyonModel,
-    SearchConfig,
     SearchStats,
     canonical_dumps,
     curve_csv,
@@ -73,7 +72,7 @@ def test_canonical_dumps_is_valid_json():
 
 def test_braid_file_round_trip(tmp_path, model3):
     target = make_target_B1(model3)
-    found = search(model3, target, SearchConfig(max_length=8))
+    found = search(model3, target, 8)
     path = tmp_path / "b1.json"
     write_braid_file(path, found)
 
@@ -98,7 +97,7 @@ def test_braid_file_missing_key(tmp_path):
 
 def test_braid_file_unknown_target(tmp_path, model3):
     target = make_target_B1(model3)
-    found = search(model3, target, SearchConfig(max_length=4))
+    found = search(model3, target, 4)
     path = tmp_path / "b1.json"
     write_braid_file(path, found)
     payload = read_braid_file(path)
@@ -110,7 +109,7 @@ def test_braid_file_unknown_target(tmp_path, model3):
 def test_unitary_braid_file_round_trip(tmp_path, model2):
     """Matrix targets persist their sector matrix and rebuild from it."""
     target = make_target_unitary(model2, X, name="NOT")
-    found = search(model2, target, SearchConfig(max_length=4, tolerance=1e-6))
+    found = search(model2, target, 4, tolerance=1e-6)
     path = tmp_path / "not.json"
     write_braid_file(path, found)
     payload = read_braid_file(path)
@@ -140,7 +139,7 @@ def test_curve_csv_writes_inf_before_the_arrangement_is_reached(model3):
     """No word of one letter ends on this arrangement, so row 1 has no best
     distance yet; it is written as inf and every row keeps four fields."""
     target = replace(make_target_B1(model3), final_arrangement=(1, 2, 0, 3))
-    result = search(model3, target, SearchConfig(max_length=4))
+    result = search(model3, target, 4)
     lines = curve_csv(result.stats).splitlines()
     assert lines[0] == "length,best_distance,nodes_explored,seconds"
     rows = [line.split(",") for line in lines[1:]]

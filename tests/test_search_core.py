@@ -13,7 +13,6 @@ from anyonforge import (
     ColumnRule,
     MatrixRule,
     PhaseRule,
-    SearchConfig,
     SynthesisTarget,
     enumerate_basis,
     make_target_B1,
@@ -52,13 +51,13 @@ def test_finish_goldens(key):
 def test_rows_do_not_depend_on_the_length_limit(model3):
     """Each depth is visited once, the same way whatever the limit."""
     target = make_target_P(model3)
-    long = search(model3, target, SearchConfig(max_length=10)).stats.rows
-    short = search(model3, target, SearchConfig(max_length=7)).stats.rows
+    long = search(model3, target, 10).stats.rows
+    short = search(model3, target, 7).stats.rows
     assert [row[:4] for row in long[:7]] == [row[:4] for row in short]
 
 
 def test_wall_time_and_busy_time(model3):
-    stats = search(model3, make_target_B1(model3), SearchConfig(max_length=8)).stats
+    stats = search(model3, make_target_B1(model3), 8).stats
     busy = sum(row[4] for row in stats.rows)
     assert 0.0 < busy <= stats.wall_seconds
 
@@ -67,10 +66,10 @@ def test_dedup_survives_key_mix_collisions(model3, monkeypatch):
     """With every key mixed to the same value, dedup sorts by the keys
     themselves and still passes the same nodes."""
     target = make_target_P(model3)
-    config = SearchConfig(max_length=9)
-    plain = search(model3, target, config)
+    length = 9
+    plain = search(model3, target, length)
     monkeypatch.setattr(_frontier, "_MIX", np.uint64(0))
-    collided = search(model3, target, config)
+    collided = search(model3, target, length)
     assert collided.braid == plain.braid
     assert [row[:4] for row in collided.stats.rows] == [row[:4] for row in plain.stats.rows]
 

@@ -1,5 +1,6 @@
 """Braid words, targets, the weave search, and its determinism contract."""
 
+import inspect
 import math
 
 import numpy as np
@@ -11,11 +12,11 @@ from anyonforge import (
     AnyonModel,
     BraidWord,
     ColumnRule,
+    ConsistencyError,
     DEFAULT_TOLERANCE,
     EncodingError,
     Grouping,
     PhaseRule,
-    SearchConfig,
     distance,
     enumerate_basis,
     evaluate,
@@ -32,6 +33,7 @@ from anyonforge import (
     synth,
     verify_braid_relations,
 )
+from anyonforge import _frontier
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -280,41 +282,53 @@ def test_unitary_target_validation(model3):
 
 # --- search --------------------------------------------------------------
 
-def test_search_config_tolerances():
-    assert SearchConfig(max_length=1).tolerance == DEFAULT_TOLERANCE == 1e-9
+def test_search_config_tolerances(model3, monkeypatch):
+    """``search`` judges convergence at ``DEFAULT_TOLERANCE`` unless told
+    otherwise, and refuses a tolerance that is not positive, or a length
+    below 1, before it walks any word."""
+    default = inspect.signature(search).parameters["tolerance"].default
+    assert default == DEFAULT_TOLERANCE == 1e-9
+
+    def refuse(*args):
+        raise AssertionError("the search walked")
+
+    monkeypatch.setattr(_frontier, "worker_job", refuse)
+    target = make_target_P(model3)
     for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError):
-            SearchConfig(max_length=1, tolerance=bad)
+        with pytest.raises(ValueError, match="tolerance must be a positive number"):
+            search(model3, target, 1, tolerance=bad)
+    with pytest.raises(ValueError, match="max_length must be at least 1"):
+        search(model3, target, 0)
 
 
 def test_search_rejects_mismatched_model(model2, model3):
     with pytest.raises(ValueError):
-        search(model2, make_target_P(model3), SearchConfig(max_length=2))
+        search(model2, make_target_P(model3), 2)
 
 
 def test_weave_frontier_counts(model3):
     """Nodes at depth L in the one-mobile-block language: 2 * 3^(L // 2)."""
-    result = search(model3, make_target_B1(model3), SearchConfig(max_length=7))
+    result = search(model3, make_target_B1(model3), 7)
     for length, _, _, frontier, _ in result.stats.rows:
         assert frontier == 2 * 3 ** (length // 2)
 
 
 def test_search_deterministic_across_workers(model3):
-    config = SearchConfig(max_length=8)
+    length = 8
     target = make_target_B1(model3)
-    one = search(model3, target, config, workers=1)
-    three = search(model3, target, config, workers=3)
+    one = search(model3, target, length, workers=1)
+    three = search(model3, target, length, workers=3)
     assert one.braid == three.braid
     assert repr(one.distance) == repr(three.distance)
     strip = lambda rows: [r[:4] for r in rows]
     assert strip(one.stats.rows) == strip(three.stats.rows)
 
 
-def test_worker_pool_is_capped_at_cpu_count(model3, monkeypatch):
-    """``workers`` asks for up to os.cpu_count() shares, one per process,
-    and the result does not depend on it.  The pool is replaced by one that
-    records its size and the shares it maps, and maps them in this
-    process, so no process starts."""
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A process pool that records its size and the shares it maps, and
+    maps them in this process, so no process starts; ``os.cpu_count()``
+    reads 3.  Returns the lists of sizes and of share counts."""
     sizes = []
     mapped = []
 
@@ -335,26 +349,54 @@ def test_worker_pool_is_capped_at_cpu_count(model3, monkeypatch):
 
     monkeypatch.setattr(synth, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(synth.os, "cpu_count", lambda: 3)
-    config = SearchConfig(max_length=8)
+    return sizes, mapped
+
+
+def _strip(rows):
+    """The rows without their run-dependent seconds."""
+    return [row[:4] for row in rows]
+
+
+def test_worker_pool_is_capped_at_cpu_count(model3, monkeypatch, inline_pool):
+    """``workers`` asks for up to os.cpu_count() shares, one per process,
+    and the result does not depend on it."""
+    sizes, mapped = inline_pool
+    length = 8
     target = make_target_B1(model3)
-    one = search(model3, target, config, workers=1)
-    strip = lambda rows: [r[:4] for r in rows]
+    one = search(model3, target, length, workers=1)
     assert sizes == mapped == []
     for workers, size in ((2, 2), (64, 3)):
-        many = search(model3, target, config, workers=workers)
+        many = search(model3, target, length, workers=workers)
         assert sizes.pop() == mapped.pop() == size
         assert many.braid == one.braid
         assert repr(many.distance) == repr(one.distance)
-        assert strip(many.stats.rows) == strip(one.stats.rows)
+        assert _strip(many.stats.rows) == _strip(one.stats.rows)
     monkeypatch.setattr(synth.os, "cpu_count", lambda: None)
-    search(model3, target, config, workers=4)
+    search(model3, target, length, workers=4)
     assert sizes == mapped == []
+
+
+@pytest.mark.parametrize("name", ["P", "B1", "E", "NOT"])
+def test_stub_edges_do_not_depend_on_shares(model3, inline_pool, name):
+    """Length limits up to one past the prefix depth, where the stub that
+    worker 0 walks is empty or short: two and three shares give the one
+    share's word, distance and rows."""
+    if name == "NOT":
+        target = make_target_unitary(model3, X, name="NOT")
+    else:
+        target = synth.BUILTIN_TARGETS[name](model3)
+    for length in range(1, 6):
+        one = search(model3, target, length)
+        for workers in (2, 3):
+            many = search(model3, target, length, workers=workers)
+            assert many.braid == one.braid, (length, workers)
+            assert repr(many.distance) == repr(one.distance), (length, workers)
+            assert _strip(many.stats.rows) == _strip(one.stats.rows), (length, workers)
 
 
 def test_search_monotone_in_length(model3):
     target = make_target_B1(model3)
-    best = [search(model3, target, SearchConfig(max_length=L)).distance
-            for L in (4, 6, 8)]
+    best = [search(model3, target, L).distance for L in (4, 6, 8)]
     assert best[0] >= best[1] >= best[2]
 
 
@@ -362,7 +404,7 @@ def test_converged_flag_with_achievable_tolerance(model2):
     """sigma_1^2 realizes NOT exactly at k=2; the sqrt-style metric turns
     float dust into ~1e-8, so convergence is judged at a matching tol."""
     target = make_target_unitary(model2, X, name="NOT")
-    result = search(model2, target, SearchConfig(max_length=4, tolerance=1e-6))
+    result = search(model2, target, 4, tolerance=1e-6)
     assert result.converged
     assert result.braid.letters == ((1, 1), (1, 1))
     assert result.distance < 1e-6
@@ -370,10 +412,42 @@ def test_converged_flag_with_achievable_tolerance(model2):
 
 def test_score_braid_matches_search(model3):
     target = make_target_B1(model3)
-    found = search(model3, target, SearchConfig(max_length=8))
+    found = search(model3, target, 8)
     rescored = score_braid(model3, target, found.braid)
     assert rescored.distance == pytest.approx(found.distance, abs=1e-14)
     assert rescored.leakage == pytest.approx(found.leakage, abs=1e-14)
+
+
+def test_scores_that_cancel_pass_the_dual_route_check(model3, b1_word):
+    """The B1 word's two routes agree to about 4e-15 entry by entry, but
+    their square-rooted scores differ by about 2e-12; the check compares
+    the matrices, and the distance is the full-space route's."""
+    result = score_braid(model3, make_target_B1(model3), b1_word)
+    assert repr(result.distance) == "5.1970072174461156e-05"
+
+
+def test_dual_route_check_sees_unscored_entries(model3, b1_word, monkeypatch):
+    """A 1e-9 change to a sector entry outside the designated input
+    column leaves the score as it is, and still fails the check."""
+    target = make_target_B1(model3)
+    rule = target.scored_rules()[0]
+    assert isinstance(rule, ColumnRule) and rule.sector == (1, 2, 2, 1)
+    replay = synth._replay
+
+    def nudged(problem, letters):
+        matrices = list(replay(problem, letters))
+        i = problem.sectors.index(rule.sector)
+        matrices[i] = matrices[i].copy()
+        matrices[i][0, 1 - rule.input_index] += 1e-9
+        return tuple(matrices)
+
+    problem = synth._Problem(model3, target)
+    scores = problem.score(*problem.rows([replay(problem, b1_word.letters),
+                                          nudged(problem, b1_word.letters)]))
+    assert scores[0] == scores[1]
+    monkeypatch.setattr(synth, "_replay", nudged)
+    with pytest.raises(ConsistencyError, match="disagree"):
+        score_braid(model3, target, b1_word)
 
 
 def test_score_braid_rejects_wrong_arrangement(model3):
@@ -384,7 +458,7 @@ def test_score_braid_rejects_wrong_arrangement(model3):
 
 def test_search_weave_restriction(model3):
     """Weave words only ever move the mobile block."""
-    result = search(model3, make_target_P(model3), SearchConfig(max_length=6))
+    result = search(model3, make_target_P(model3), 6)
     counts = exchange_counts(result.braid, result.target.grouping)
     mobile = result.target.mobile
     for (i, j), entry in counts.items():
@@ -392,7 +466,7 @@ def test_search_weave_restriction(model3):
 
 
 def test_sector_phases_reported(model3):
-    result = search(model3, make_target_B1(model3), SearchConfig(max_length=8))
+    result = search(model3, make_target_B1(model3), 8)
     assert (1, 0, 2, 1) in result.sector_phases
     for phase in result.sector_phases.values():
         assert abs(abs(phase) - 1) < 1e-9
