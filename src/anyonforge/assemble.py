@@ -64,22 +64,6 @@ class GateReport:
     def budget_total(self) -> float:
         return sum(d for _, d in self.component_budget)
 
-    def export_payload(self) -> dict:
-        return {
-            "gate": self.gate,
-            "k": self.k,
-            "distance_to_target": self.distance_to_target,
-            "leakage": self.leakage,
-            "component_budget": [[name, d] for name, d in self.component_budget],
-            "budget_total": self.budget_total,
-            "braid_length_total": self.braid_length_total,
-            "diagonal_deviation": self.diagonal_deviation,
-            "phases_cancelled": self.phases_cancelled,
-            "bound_satisfied": self.bound_satisfied,
-            "symmetry_deviation": self.symmetry_deviation,
-            "logical_matrix": [[complex(z) for z in row] for row in self.logical_matrix],
-        }
-
 
 def braid_length_total(word: BraidWord, grouping: Grouping) -> int:
     """Elementary strand crossings performed by a block-level word."""

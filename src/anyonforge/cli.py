@@ -87,6 +87,17 @@ def _emit(args: argparse.Namespace, payload: dict, text: str,
         args.out.write_text(canonical_dumps(payload))
 
 
+def _beside_out(args: argparse.Namespace, suffix: str) -> Path | None:
+    """The second file a command writes beside ``--out`` (its stem plus
+    ``suffix``), refused before any work if that name is a directory."""
+    if args.out is None:
+        return None
+    path = args.out.with_name(args.out.stem + suffix)
+    if path.is_dir():
+        raise UsageError(f"{path}, written beside --out, is a directory")
+    return path
+
+
 # --- commands ------------------------------------------------------------
 
 def cmd_model(args: argparse.Namespace) -> int:
@@ -199,6 +210,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.out is not None and args.out.suffix == ".csv":
         raise UsageError(f"--out {args.out} is where the curve CSV goes; "
                          "give the JSON artifact another suffix")
+    curve_out = _beside_out(args, ".csv")
     model = AnyonModel(args.k)
     if args.target in BUILTIN_TARGETS:
         target = BUILTIN_TARGETS[args.target](model)
@@ -217,8 +229,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"leakage {result.leakage!r}\n"
             f"braid: {word}")
     _emit(args, payload, text, csv=curve_csv(result.stats))
-    if args.out is not None:
-        write_curve_csv(args.out.with_suffix(".csv"), result.stats)
+    if curve_out is not None:
+        write_curve_csv(curve_out, result.stats)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
@@ -243,6 +255,7 @@ def cmd_assemble(args: argparse.Namespace) -> int:
     if (args.direction is None) == (args.gate == "convert"):
         raise UsageError("--direction merge or split goes with --gate convert, "
                          "and only with it")
+    braid_out = _beside_out(args, ".braid.json")
     payloads = [(path, _read_braid(path)) for path in args.components]
     ks = {payload["k"] for _, payload in payloads}
     if len(ks) > 1:
@@ -281,8 +294,7 @@ def cmd_assemble(args: argparse.Namespace) -> int:
             f"bound satisfied: {report.bound_satisfied}; "
             f"trivial phases cancelled: {report.phases_cancelled}")
     _emit(args, payload, text)
-    if args.out is not None:
-        braid_out = args.out.with_name(args.out.stem + ".braid.json")
+    if braid_out is not None:
         braid_out.write_text(canonical_dumps(assembled_braid_payload(report)))
     if not report.bound_satisfied:
         print("composition bound violated", file=sys.stderr)

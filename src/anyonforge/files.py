@@ -118,10 +118,9 @@ def braid_payload(result: SynthesisResult) -> dict:
         "target": target.name,
         "distance": result.distance,
     }
-    if target.kind == "exact_unitary":
-        # Sector-frame matrix; the logical 2x2 is recovered through the
-        # code frame when the file is read back.
-        rule = next(r for r in target.rules if isinstance(r, MatrixRule))
+    rule = next((r for r in target.rules if isinstance(r, MatrixRule)), None)
+    if rule is not None:
+        # Sector-frame matrix, read back verbatim by target_from_payload.
         payload["target_matrix"] = [list(row) for row in rule.target]
     return payload
 
@@ -234,7 +233,21 @@ def write_curve_csv(path, stats: SearchStats) -> None:
 # --- gate reports --------------------------------------------------------
 
 def gate_report_payload(report) -> dict:
-    return report.export_payload()
+    """An assembled gate's verification record, in its canonical key order."""
+    return {
+        "gate": report.gate,
+        "k": report.k,
+        "distance_to_target": report.distance_to_target,
+        "leakage": report.leakage,
+        "component_budget": [[name, d] for name, d in report.component_budget],
+        "budget_total": report.budget_total,
+        "braid_length_total": report.braid_length_total,
+        "diagonal_deviation": report.diagonal_deviation,
+        "phases_cancelled": report.phases_cancelled,
+        "bound_satisfied": report.bound_satisfied,
+        "symmetry_deviation": report.symmetry_deviation,
+        "logical_matrix": [[complex(z) for z in row] for row in report.logical_matrix],
+    }
 
 
 def assembled_braid_payload(report) -> dict:

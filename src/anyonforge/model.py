@@ -56,7 +56,14 @@ MAX_LEVEL = 72
 
 
 class ConsistencyError(Exception):
-    """A consistency identity (pentagon, hexagon, unitarity) failed."""
+    """A number failed its independent check (exit code 2).
+
+    Raised by ``verify_pentagon`` and ``verify_hexagon`` when given a
+    tolerance that the residual exceeds; by ``score_braid`` and ``search``
+    when the tracked and full-space sector matrices disagree, or when a
+    braid's action varies across block-internal trees; and by the CLI
+    when a stored distance does not reproduce.
+    """
 
 
 @dataclass(frozen=True)

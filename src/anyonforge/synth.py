@@ -52,8 +52,6 @@ __all__ = [
     "PhaseRule",
     "ColumnRule",
     "MatrixRule",
-    "POLICY_MUST_BE_ONE",
-    "POLICY_CANCEL",
     "distance",
     "evaluate",
     "evaluate_tracked",
@@ -68,10 +66,6 @@ __all__ = [
     "BUILTIN_TARGETS",
     "search",
 ]
-
-POLICY_MUST_BE_ONE = "must_be_one"
-POLICY_CANCEL = "must_cancel_with_partner"
-
 
 @dataclass(frozen=True)
 class BraidWord:
@@ -235,15 +229,10 @@ def verify_braid_relations(model: AnyonModel, leaves: tuple[int, ...]) -> float:
 
 @dataclass(frozen=True)
 class PhaseRule:
-    """One-dimensional sector pinned to a reference phase (or left free)."""
+    """One-dimensional sector pinned to a reference phase."""
 
     sector: tuple[int, ...]
-    policy: str
     reference: complex = 1.0 + 0.0j
-
-    @property
-    def scored(self) -> bool:
-        return self.policy == POLICY_MUST_BE_ONE
 
 
 @dataclass(frozen=True)
@@ -259,10 +248,6 @@ class ColumnRule:
     target: tuple[complex, ...]
     exact_value: complex | None = None
 
-    @property
-    def scored(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class MatrixRule:
@@ -271,16 +256,12 @@ class MatrixRule:
     sector: tuple[int, ...]
     target: tuple[tuple[complex, ...], ...]
 
-    @property
-    def scored(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class SynthesisTarget:
-    """A block system plus per-sector rules; plain data, process-safe."""
+    """A block system plus the per-sector rules its score is the worst
+    of; plain data, process-safe."""
 
-    kind: str
     name: str
     k: int
     leaves: tuple[int, ...]
@@ -297,9 +278,6 @@ class SynthesisTarget:
     @property
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def scored_rules(self) -> tuple:
-        return tuple(r for r in self.rules if r.scored)
 
 
 @dataclass
@@ -327,7 +305,6 @@ class SynthesisResult:
     distance: float
     leakage: float
     converged: bool
-    sector_phases: dict = field(compare=False)
     stats: SearchStats = field(compare=False)
 
 
@@ -359,15 +336,15 @@ def make_target_P(model: AnyonModel, charges: tuple[int, int] = (1, 1)) -> Synth
         dim = enumerate_basis(model, sector, 0).dim
         if sector[1] == 2 and sector[2] == 2:
             if dim == 1:
-                rules.append(PhaseRule(sector, POLICY_MUST_BE_ONE, reference=-1.0 + 0.0j))
+                rules.append(PhaseRule(sector, reference=-1.0 + 0.0j))
             else:
                 comp = _comp_index(model, sector, a)
                 target = tuple(1.0 + 0.0j if i == comp else 0.0j for i in range(dim))
                 rules.append(ColumnRule(sector, comp, target, exact_value=-1.0 + 0.0j))
         else:
-            rules.append(PhaseRule(sector, POLICY_MUST_BE_ONE))
+            rules.append(PhaseRule(sector))
     return SynthesisTarget(
-        kind="sector_map", name="P", k=model.k, leaves=leaves,
+        name="P", k=model.k, leaves=leaves,
         blocks=grouping.blocks, mobile=1, span=(1, 3),
         final_arrangement=tuple(range(len(grouping.blocks))), rules=tuple(rules))
 
@@ -375,8 +352,10 @@ def make_target_P(model: AnyonModel, charges: tuple[int, int] = (1, 1)) -> Synth
 def _aggregation_target(model: AnyonModel, charges: tuple[int, int], joined: int,
                         name: str) -> SynthesisTarget:
     """Send the |11> state onto the branch where the two middle pairs
-    carry joint charge ``joined``; all other sectors stay one-dimensional
-    and their phases are cancelled by the inverse braid later."""
+    carry joint charge ``joined``.  The other sectors are one-dimensional
+    and need no rule: the CCZ (B1, P, B1^-1, B3, P^-1, B3^-1) runs each
+    aggregation braid's inverse, which cancels their phases, and
+    ``assemble_ccz`` checks that it did."""
     a, _ = charges
     leaves, grouping = _two_qubit_system(model, charges)
     sector = (a, 2, 2, a)
@@ -392,14 +371,11 @@ def _aggregation_target(model: AnyonModel, charges: tuple[int, int], joined: int
     for r, m in enumerate(fm.rows):
         target[basis.index(FusionTree(sector, (a, m, a, 0)))] = complex(fm.matrix[r, col])
     comp = _comp_index(model, sector, a)
-    rules = [ColumnRule(sector, comp, tuple(target), exact_value=None)]
-    for other in _pair_sectors(a):
-        if other != sector:
-            rules.append(PhaseRule(other, POLICY_CANCEL))
+    rules = (ColumnRule(sector, comp, tuple(target), exact_value=None),)
     return SynthesisTarget(
-        kind="sector_map", name=name, k=model.k, leaves=leaves,
+        name=name, k=model.k, leaves=leaves,
         blocks=grouping.blocks, mobile=1, span=(1, 3),
-        final_arrangement=tuple(range(len(grouping.blocks))), rules=tuple(rules))
+        final_arrangement=tuple(range(len(grouping.blocks))), rules=rules)
 
 
 def make_target_B1(model: AnyonModel, charges: tuple[int, int] = (1, 1)) -> SynthesisTarget:
@@ -434,7 +410,7 @@ def make_target_E(model: AnyonModel, charges: tuple[int, int] = (1, 1)) -> Synth
     target = tuple(1.0 + 0.0j if i == channel0 else 0.0j for i in range(basis.dim))
     rules = (ColumnRule(sector, channel0, target, exact_value=None),)
     return SynthesisTarget(
-        kind="sector_map", name="E", k=model.k, leaves=leaves,
+        name="E", k=model.k, leaves=leaves,
         blocks=grouping.blocks, mobile=2, span=(2, 4),
         final_arrangement=(0, 2, 1, 3), rules=rules)
 
@@ -465,7 +441,7 @@ def make_target_unitary(model: AnyonModel, matrix: np.ndarray,
     target = tuple(tuple(complex(z) for z in row) for row in coarse_target)
     rules = (MatrixRule(code.basis.leaves, target),)
     return SynthesisTarget(
-        kind="exact_unitary", name=name, k=model.k, leaves=code.basis.leaves,
+        name=name, k=model.k, leaves=code.basis.leaves,
         blocks=Grouping.of_sizes(1, 1, 1, 1).blocks, mobile=1, span=(1, 3),
         final_arrangement=(0, 1, 2, 3), rules=rules)
 
@@ -476,7 +452,7 @@ class _Problem:
     """Per-worker search context: move generation, sector generators from
     the symbol table, and the one rule scorer.
 
-    A state is one row of ``re`` and one of ``im``: each scored sector's
+    A state is one row of ``re`` and one of ``im``: each ruled sector's
     n x n matrix flat, sector after sector.  The scorer works on many rows
     at once in float64 ufuncs (``np.hypot`` for ``abs``, ``np.float_power``
     for ``**``), summing left to right from zero; ``test_search_core``
@@ -490,14 +466,13 @@ class _Problem:
         self.initial_arr = tuple(range(self.block_count))
         self.final_arr = target.final_arrangement
         self.mobile = target.mobile - 1
-        scored = target.scored_rules()
-        self.sectors = tuple(sorted({r.sector for r in scored}))
+        self.sectors = tuple(sorted({r.sector for r in target.rules}))
         sector_pos = {s: i for i, s in enumerate(self.sectors)}
         self.dims = tuple(enumerate_basis(model, s, 0).dim for s in self.sectors)
         # First flat column of each sector in a state row.
         self.offsets = tuple(sum(d * d for d in self.dims[:i])
                              for i in range(len(self.dims)))
-        self.rules = tuple((rule, sector_pos[rule.sector]) for rule in scored)
+        self.rules = tuple((rule, sector_pos[rule.sector]) for rule in target.rules)
 
     def moves(self, pos: int):
         """Canonical-order letters available to the mobile block at ``pos``."""
@@ -591,7 +566,7 @@ def _rank(score: float, letters: tuple) -> tuple:
 
 
 def _replay(problem: _Problem, letters: tuple) -> tuple:
-    """Each scored sector's coarse matrix after ``letters``."""
+    """Each ruled sector's coarse matrix after ``letters``."""
     word = BraidWord(problem.block_count, letters)
     return tuple(evaluate(problem.model, enumerate_basis(problem.model, sector, 0), word)
                  for sector in problem.sectors)
@@ -672,9 +647,8 @@ def _finish(model: AnyonModel, target: SynthesisTarget, tolerance: float,
     """Check the two routes' sector matrices agree entry by entry, then
     build the result from the full-space route."""
     problem = _Problem(model, target)
-    coarse = _coarse_from_full(model, target, word)
     re, im = problem.rows([_replay(problem, word.letters),
-                           [coarse[s] for s in problem.sectors]])
+                           _coarse_from_full(problem, word)])
     gap = float(np.hypot(re[0] - re[1], im[0] - im[1]).max())
     if not gap <= 1e-12:
         raise ConsistencyError(
@@ -687,24 +661,20 @@ def _finish(model: AnyonModel, target: SynthesisTarget, tolerance: float,
     leaks = [(replace(rule, exact_value=None), si) for rule, si in problem.rules
              if isinstance(rule, ColumnRule)]
     leak = max([0.0] + [float(dev[0]) for dev in problem.deviations(re, im, leaks)])
-
-    phases: dict[tuple[int, ...], complex] = {}
-    for sector, matrix in coarse.items():
-        if matrix.shape == (1, 1):
-            phases[sector] = complex(matrix[0, 0])
     return SynthesisResult(
         target=target, braid=word, distance=full_score, leakage=leak,
-        converged=full_score <= tolerance, sector_phases=phases, stats=stats)
+        converged=full_score <= tolerance, stats=stats)
 
 
-def _coarse_from_full(model: AnyonModel, target: SynthesisTarget,
-                      word: BraidWord) -> dict:
-    """Coarse sector matrices extracted from the full-space product route.
+def _coarse_from_full(problem: _Problem, word: BraidWord) -> tuple:
+    """Each ruled sector's coarse matrix, from the full-space product route.
 
     Evaluates the word with composite generators on the fine basis, regroups
     both ends, and checks that every block-internal slice of a sector agrees
     (a composite exchange must not see internal trees); raises otherwise.
+    The matrices come in ``problem.sectors`` order, as ``_replay``'s do.
     """
+    model, target = problem.model, problem.target
     basis = enumerate_basis(model, target.leaves, 0)
     grouping = target.grouping
     U, final_leaves, final_grouping = evaluate_tracked(model, basis, word, grouping)
@@ -714,8 +684,8 @@ def _coarse_from_full(model: AnyonModel, target: SynthesisTarget,
     Ug = t_out @ U @ t_in.conj().T
 
     perm = word.permutation()
-    out: dict[tuple[int, ...], np.ndarray] = {}
-    for sector in sorted({r.sector for r in target.rules}):
+    out = []
+    for sector in problem.sectors:
         coarse_in = enumerate_basis(model, sector, 0)
         out_charges = tuple(sector[b] for b in perm)
         coarse_out = enumerate_basis(model, out_charges, 0)
@@ -742,5 +712,5 @@ def _coarse_from_full(model: AnyonModel, target: SynthesisTarget,
             elif not np.allclose(matrix, block, atol=1e-10):
                 raise ConsistencyError(
                     f"sector {sector}: braid action varies across internal trees")
-        out[sector] = matrix
-    return out
+        out.append(matrix)
+    return tuple(out)

@@ -1,8 +1,7 @@
 """Write ``tests/data/finish_goldens.json``: pinned outcomes of ``score_braid``.
 
 Each case scores one fixed weave word against one target and records the
-``repr`` of its distance and leakage, whether it converged, and the
-``repr`` of every one-dimensional sector's phase.  The words are the best
+``repr`` of its distance and leakage and whether it converged.  The words are the best
 words of a length-10 search (length 12 for NOT), written out so the pins
 do not depend on the search.  ``test_finish_goldens`` in
 ``test_search_core.py`` re-scores every case and compares.
@@ -71,8 +70,6 @@ def record(result) -> dict:
         "distance": repr(result.distance),
         "leakage": repr(result.leakage),
         "converged": result.converged,
-        "phases": [[list(sector), repr(phase)]
-                   for sector, phase in sorted(result.sector_phases.items())],
     }
 
 

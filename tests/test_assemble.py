@@ -26,6 +26,7 @@ from anyonforge import (
     single_qubit_code,
 )
 from anyonforge import assemble
+from anyonforge.files import gate_report_payload
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,7 @@ def test_cz_assembly_bound_and_diagonal(model3, parts3):
 
 
 def test_cz_report_payload_shape(model3, parts3):
-    payload = assemble_controlled_phase(model3, parts3["P"]).export_payload()
+    payload = gate_report_payload(assemble_controlled_phase(model3, parts3["P"]))
     assert payload["gate"] == "cz"
     assert len(payload["logical_matrix"]) == 4
     assert payload["budget_total"] == pytest.approx(parts3["P"].distance)
@@ -126,7 +127,7 @@ def test_fabricated_component_score_is_caught(model3, parts3):
     honest = parts3["P"]
     fake = SynthesisResult(
         target=honest.target, braid=BraidWord(4, ()), distance=0.0,
-        leakage=0.0, converged=True, sector_phases={}, stats=None)
+        leakage=0.0, converged=True, stats=None)
     report = assemble_controlled_phase(model3, fake)
     assert not report.bound_satisfied
 

@@ -459,3 +459,23 @@ def test_flag_surface(valid_inputs, tmp_path, monkeypatch, argv, code):
     argv = argv.format(p=work / "p.json", huge=work / "huge.json", out=tmp_path)
     assert _exit_code(*shlex.split(argv)) == code
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, sibling", [
+    ("synth --k 3 --target P --out {out}/d/p.json", "d/p.csv"),
+    ("assemble --gate cz {p} --out {out}/e/r.json", "e/r.braid.json"),
+])
+def test_sibling_directory_is_refused(valid_inputs, tmp_path, monkeypatch, argv, sibling):
+    """A command that writes a second file beside --out refuses, before any
+    work, when that file's name is a directory, and writes nothing."""
+    payloads, work = valid_inputs
+    (tmp_path / sibling).mkdir(parents=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command did its work")
+
+    monkeypatch.setattr(cli, "search", refuse)
+    monkeypatch.setattr(cli, "_read_braid", refuse)
+    argv = argv.format(p=work / "p.json", out=tmp_path)
+    assert _exit_code(*shlex.split(argv)) == 1
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []

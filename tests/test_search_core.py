@@ -39,13 +39,13 @@ def test_search_goldens(key):
 
 @pytest.mark.parametrize("key", list(FINISH_CASES))
 def test_finish_goldens(key):
-    """Exact distance, leakage, convergence and one-dimensional sector
-    phases of ``score_braid`` on fixed words, frozen from the scalar
-    scoring route the batched scorer replaced."""
+    """Exact distance, leakage and convergence of ``score_braid`` on fixed
+    words, frozen from the scalar scoring route the batched scorer
+    replaced."""
     want = FINISH_CASES[key]
     got = make_finish_goldens.record(make_finish_goldens.run_case(tuple(want["case"])))
     assert got == {field: want[field]
-                   for field in ("distance", "leakage", "converged", "phases")}
+                   for field in ("distance", "leakage", "converged")}
 
 
 def test_rows_do_not_depend_on_the_length_limit(model3):
@@ -109,8 +109,7 @@ def _weave_problem(draw):
         dim = 1 if kind == "phase" else draw(st.sampled_from(sorted(by_dim)), label="dim")
         sector = draw(st.sampled_from(by_dim[dim]))
         if kind == "phase":
-            rules.append(PhaseRule(sector, synth.POLICY_MUST_BE_ONE,
-                                   reference=complex(_unit_vector(rng, 1)[0])))
+            rules.append(PhaseRule(sector, reference=complex(_unit_vector(rng, 1)[0])))
         elif kind == "matrix":
             rules.append(MatrixRule(sector, tuple(tuple(complex(z) for z in row)
                                                   for row in _unitary(rng, dim))))
@@ -120,7 +119,7 @@ def _weave_problem(draw):
                                     tuple(complex(z) for z in _unit_vector(rng, dim)),
                                     exact_value=exact))
     target = SynthesisTarget(
-        kind="sector_map", name="T", k=model.k, leaves=(1, 1, 1, 1),
+        name="T", k=model.k, leaves=(1, 1, 1, 1),
         blocks=((1,), (2,), (3,), (4,)), mobile=1, span=(1, 4),
         final_arrangement=(0, 1, 2, 3), rules=tuple(rules))
     return synth._Problem(model, target)

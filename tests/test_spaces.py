@@ -133,6 +133,47 @@ def test_two_strand_exchange_order_ten(model3):
         assert not np.allclose(partial, partial[0, 0] * np.eye(2), atol=1e-6)
 
 
+def _projective_image(k: int, cap: int) -> int:
+    """Classes up to phase of the braid group's image on four spin-1/2
+    anyons with total 0, walked breadth first from the identity; stops
+    once more than ``cap`` are found.  U (x) conj(U) is the class key:
+    it forgets exactly the global phase."""
+    model = AnyonModel(k)
+    basis = enumerate_basis(model, (1, 1, 1, 1), 0)
+    gens = [step(model, basis, pos) for pos in (1, 2, 3)
+            for step in (braid_generator, inverse_braid_generator)]
+
+    def key(U):
+        return (np.round(np.kron(U, U.conj()), 8) + 0.0).tobytes()
+
+    frontier = [np.eye(basis.dim, dtype=np.complex128)]
+    seen = {key(frontier[0])}
+    while frontier and len(seen) <= cap:
+        grown = []
+        for U in frontier:
+            for G in gens:
+                V = G @ U
+                if key(V) not in seen:
+                    seen.add(key(V))
+                    grown.append(V)
+        frontier = grown
+    return len(seen)
+
+
+@pytest.mark.parametrize("k, order", [(2, 24), (4, 12), (8, 60)])
+def test_braid_image_is_finite_at_levels_2_4_8(k, order):
+    """The paper's level boundary: at k = 2, 4 and 8 braiding alone
+    reaches a finite set of qubit gates (up to phase), the icosahedral
+    group at k = 8, so it cannot be universal there."""
+    assert _projective_image(k, cap=1000) == order
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_braid_image_is_not_closed_at_levels_3_5(k):
+    """At k = 3 and 5 the image keeps growing: dense, hence universal."""
+    assert _projective_image(k, cap=1000) > 1000
+
+
 def test_regroup_unitary_and_sectors(model3):
     basis = enumerate_basis(model3, (1,) * 6, 0)
     grouped, U = regroup(model3, basis, Grouping.of_sizes(2, 2, 2))

@@ -100,7 +100,7 @@ def _target(model, leaves, grouping) -> SynthesisTarget:
         rules.append(MatrixRule(sector, identity))
     n = len(grouping.blocks)
     return SynthesisTarget(
-        kind="exact_unitary", name="routes", k=model.k, leaves=leaves,
+        name="routes", k=model.k, leaves=leaves,
         blocks=grouping.blocks, mobile=1, span=(1, n),
         final_arrangement=tuple(range(n)), rules=tuple(rules))
 
@@ -119,14 +119,15 @@ def test_three_evaluation_routes_agree(problem):
     target = _target(model, leaves, grouping)
     tracker = synth._Problem(model, target)
     incremental = synth._replay(tracker, word.letters)
-    composite = synth._coarse_from_full(model, target, word)
+    composite = synth._coarse_from_full(tracker, word)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(synth, "evaluate_tracked", _elementary_route)
-        elementary = synth._coarse_from_full(model, target, word)
-    for sector, state, dim in zip(tracker.sectors, incremental, tracker.dims):
+        elementary = synth._coarse_from_full(tracker, word)
+    assert len(incremental) == len(composite) == len(elementary) == len(tracker.dims)
+    for state, full, fine, dim in zip(incremental, composite, elementary, tracker.dims):
         tracked = np.array(state).reshape(dim, dim)
-        assert np.abs(tracked - composite[sector]).max() < 1e-12
-        assert np.abs(tracked - elementary[sector]).max() < 1e-12
+        assert np.abs(tracked - full).max() < 1e-12
+        assert np.abs(tracked - fine).max() < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
