@@ -86,7 +86,9 @@ class SymbolCache:
 
     Holds the memoized F and R symbols, the flat F and R tables the
     pentagon and hexagon checks read (``f_table``, ``r_table``: built once,
-    on first use), the fusion bases built by ``spaces.enumerate_basis``,
+    on first use; building ``f_table`` evaluates every F block in one
+    batched pass and seeds ``f_symbols`` with each block not yet present,
+    so a damaged block is kept), the fusion bases built by ``spaces.enumerate_basis``,
     the braid generators built from the symbols by
     ``spaces.braid_generator``, the regrouped frames built by
     ``spaces.regroup`` and the word steps of ``synth.evaluate_tracked``.
@@ -113,9 +115,10 @@ class SymbolCache:
 # The clean table of each level, shared by every clean model of that level.
 _CLEAN_TABLES: dict[int, SymbolCache] = {}
 
-# Label tuples per batch of the pentagon and hexagon checks.  Every array a
-# batch allocates has about this many entries; a single (a, b, c, d, t)
-# whose tuples alone exceed it makes a batch of its own.
+# Label tuples per batch of the F table build and of the pentagon and
+# hexagon checks.  Every array a batch allocates has about this many
+# entries; a single key whose tuples alone exceed it makes a batch of its
+# own.
 _BATCH_ROWS = 1 << 13
 
 
@@ -344,6 +347,12 @@ class AnyonModel:
 
     def f_symbol(self, a: int, b: int, c: int, d: int) -> FMatrix:
         """F-move block for charges a, b, c with total d (see module doc)."""
+        # Only valid labels are ever cached, so plain ints may look up first;
+        # anything else (bools and numpy ints among them) is validated first.
+        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            cached = self.symbols.f_symbols.get((a, b, c, d))
+            if cached is not None:
+                return cached
         key = (self.check_charge(a), self.check_charge(b),
                self.check_charge(c), self.check_charge(d))
         cached = self.symbols.f_symbols.get(key)
@@ -370,6 +379,10 @@ class AnyonModel:
 
     def r_symbol(self, a: int, b: int, c: int) -> complex:
         """Counterclockwise exchange phase of a and b in channel c."""
+        if type(a) is int and type(b) is int and type(c) is int:
+            cached = self.symbols.r_symbols.get((a, b, c))
+            if cached is not None:
+                return cached
         key = (self.check_charge(a), self.check_charge(b), self.check_charge(c))
         cached = self.symbols.r_symbols.get(key)
         if cached is not None:
@@ -410,14 +423,78 @@ class AnyonModel:
         self._r_table()
 
     def _f_table(self) -> _FTable:
-        """The symbol table's flat F table, built on first use."""
+        """The symbol table's flat F table, built on first use.
+
+        Every block of the level is evaluated in one batched q-Racah pass
+        (``_f_entries``) and seeded into ``f_symbols`` as a read-only view,
+        except where that key is already present: a block damaged by
+        ``corrupt_f_symbol`` stays, and the flat table holds it.
+        """
         table = self.symbols.f_table
         if table is None:
-            N = _fusion_counts(self.k)
-            keys = np.argwhere(np.einsum("abe,ecd->abcd", N, N)).tolist()
-            table = _FTable(self.k, {tuple(key): self.f_symbol(*key) for key in keys})
+            k, n = self.k, self.k + 1
+            cached = self.symbols.f_symbols
+            N = _fusion_counts(k)
+            # Rows e of block (a, b, c, d) run over fuse(a, b) and fuse(c, d),
+            # columns f over fuse(b, c) and fuse(a, d); both counts are the
+            # block's dimension.
+            height = np.einsum("abe,ecd->abcd", N, N).ravel()
+            blocks = {}
+            for keys, sizes in _batches(height, height):
+                labels = [v.astype(np.int32) for v in np.unravel_index(keys, (n,) * 4)]
+                a, b, c, d = labels
+                e0, _ = _span(k, (a, b), (c, d))
+                f0, _ = _span(k, (b, c), (a, d))
+                values = self._f_entries(*labels)
+                values.setflags(write=False)
+                start = 0
+                for key, e, f, size in zip(zip(*(v.tolist() for v in labels)), e0.tolist(),
+                                           f0.tolist(), sizes.tolist()):
+                    rows = tuple(range(e, e + 2 * size, 2))
+                    cols = tuple(range(f, f + 2 * size, 2))
+                    block = FMatrix(rows, cols,
+                                    values[start:start + size * size].reshape(size, size))
+                    blocks[key] = cached.setdefault(key, block)
+                    start += size * size
+            table = _FTable(k, blocks)
             self.symbols.f_table = table
         return table
+
+    def _f_entries(self, a, b, c, d) -> np.ndarray:
+        """Every entry of the blocks (a, b, c, d), each row-major, laid end
+        to end: ``f_symbol``'s arithmetic, vectorized over label arrays."""
+        k = self.k
+        qint, fact = np.array(self._qint), np.array(self._qfact)
+        own = np.arange(len(a), dtype=np.int32)
+        block, e = _fan_out(k, [own], (a, b), (c, d))
+        block, e, f = _fan_out(k, [block, e], (b[block], c[block]), (a[block], d[block]))
+        a, b, c, d = a[block], b[block], c[block], d[block]
+        sign = np.where(((a + b + c + d) // 2) % 2 == 1, -1.0, 1.0)
+        scale = np.sqrt(qint[e + 1] * qint[f + 1])
+        triads = [(a + b + e) // 2, (a + d + f) // 2, (c + b + f) // 2, (c + d + e) // 2]
+        quads = [(a + b + c + d) // 2, (a + e + c + f) // 2, (b + e + d + f) // 2]
+        # The scalar route skips every z with fact[z + 1] == 0, which is
+        # every z > k; the sum runs over the rest in ascending z from 0.0.
+        low = functools.reduce(np.maximum, triads)
+        count = np.minimum(functools.reduce(np.minimum, quads), k) - low + 1
+        total = np.zeros(len(block))
+        for j in range(int(count.max(initial=0))):
+            on = np.flatnonzero(count > j)
+            z = low[on] + j
+            term = fact[z + 1]
+            for t in triads:
+                term = term / fact[z - t[on]]
+            for q in quads:
+                term = term / fact[q[on] - z]
+            total[on] += np.where(z % 2 == 1, -term, term)
+
+        def triangle(a, b, c):
+            num = fact[(-a + b + c) // 2] * fact[(a - b + c) // 2] * fact[(a + b - c) // 2]
+            return np.sqrt(num / fact[(a + b + c) // 2 + 1])
+
+        six_j = (total * triangle(a, b, e) * triangle(a, d, f) * triangle(c, b, f)
+                 * triangle(c, d, e))
+        return sign * scale * six_j
 
     def _r_table(self) -> np.ndarray:
         """Every R symbol, flat at ``(a*n + b)*n + c`` (n = k + 1); 0 where c

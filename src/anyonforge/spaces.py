@@ -26,7 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .model import AnyonModel
+from .model import AnyonModel, _channels
 
 __all__ = [
     "FusionTree",
@@ -73,14 +73,15 @@ class FusionBasis:
         return len(self.trees)
 
     @cached_property
-    def _positions(self) -> dict[FusionTree, int]:
-        return {tree: i for i, tree in enumerate(self.trees)}
+    def _positions(self) -> dict[tuple[int, ...], int]:
+        """Position of each tree, by its internal charges."""
+        return {tree.internals: i for i, tree in enumerate(self.trees)}
 
     def index(self, tree: FusionTree) -> int:
-        try:
-            return self._positions[tree]
-        except KeyError:
-            raise KeyError(f"tree {tree} not in basis") from None
+        position = self._positions.get(tree.internals) if tree.leaves == self.leaves else None
+        if position is None:
+            raise KeyError(f"tree {tree} not in basis")
+        return position
 
 
 def enumerate_basis(model: AnyonModel, leaves: tuple[int, ...], total: int) -> FusionBasis:
@@ -100,20 +101,13 @@ def enumerate_basis(model: AnyonModel, leaves: tuple[int, ...], total: int) -> F
     hit = cache.get(key)
     if hit is not None:
         return hit
-    trees: list[FusionTree] = []
-    stack = [(leaves[0],)]
-    while stack:
-        partial = stack.pop()
-        i = len(partial)
-        if i == len(leaves):
-            if partial[-1] == total:
-                trees.append(FusionTree(leaves, partial))
-            continue
-        # descending push => ascending pop => lexicographic output
-        for c in reversed(model.fuse(partial[-1], leaves[i])):
-            stack.append(partial + (c,))
-    trees.sort(key=lambda t: t.internals)
-    basis = FusionBasis(model.k, leaves, total, tuple(trees))
+    # Each path extended by its channels in ascending order keeps the paths
+    # lexicographic.
+    paths = [(leaves[0],)]
+    for leaf in leaves[1:]:
+        paths = [path + (c,) for path in paths for c in _channels(model.k, path[-1], leaf)]
+    trees = tuple(FusionTree(leaves, path) for path in paths if path[-1] == total)
+    basis = FusionBasis(model.k, leaves, total, trees)
     cache[key] = basis
     return basis
 
@@ -145,28 +139,25 @@ def braid_generator(model: AnyonModel, basis: FusionBasis, position: int) -> np.
     i = position - 1
     a, b = basis.leaves[i], basis.leaves[i + 1]
     target = enumerate_basis(model, swap_leaves(basis.leaves, position), basis.total)
+    rows = target._positions
     matrix = np.zeros((target.dim, basis.dim), dtype=np.complex128)
     for col, tree in enumerate(basis.trees):
-        prefix = tree.internals[i - 1] if i >= 1 else 0
-        upper = tree.internals[i + 1] if i + 1 < len(tree.internals) else tree.total
+        internals = tree.internals
+        prefix = internals[i - 1] if i >= 1 else 0
+        upper = internals[i + 1] if i + 1 < len(internals) else tree.total
         fwd = model.f_symbol(prefix, a, b, upper)
         back = model.f_symbol(prefix, b, a, upper)
-        e = tree.internals[i]
-        row_of = fwd.rows.index(e)
-        for e_new_idx, e_new in enumerate(back.rows):
+        # F[e, g] * R(g) once per column; each target row e' adds its
+        # weighted F[e', g] terms in ascending g.
+        weights = [coeff * model.r_symbol(a, b, g)
+                   for g, coeff in zip(fwd.cols, fwd.matrix[fwd.rows.index(internals[i])])]
+        for e_new, coeffs in zip(back.rows, back.matrix):
             amp = 0.0j
-            for g_idx, g in enumerate(fwd.cols):
-                amp += (
-                    fwd.matrix[row_of, g_idx]
-                    * model.r_symbol(a, b, g)
-                    * back.matrix[e_new_idx, g_idx]
-                )
+            for weight, coeff in zip(weights, coeffs):
+                amp += weight * coeff
             if amp == 0.0j:
                 continue
-            internals = list(tree.internals)
-            internals[i] = e_new
-            row = target.index(FusionTree(target.leaves, tuple(internals)))
-            matrix[row, col] = amp
+            matrix[rows[internals[:i] + (e_new,) + internals[i + 1:]], col] = amp
     matrix.setflags(write=False)
     cache[key] = matrix
     return matrix

@@ -83,6 +83,34 @@ def test_check_detects_corruption(capsys):
     assert code == 2
 
 
+# The exact residuals ``check`` reports: pentagon, hexagon, braid relations.
+_CHECK_RESIDUALS = {
+    ("--k", "2"): (6.661338147750939e-16, 5.551115123125783e-16, 5.551115123125784e-16),
+    ("--k", "3"): (9.992007221626409e-16, 4.965068306494546e-16, 1.7778093677574228e-15),
+    ("--k", "4"): (8.881784197001252e-16, 8.005932084973443e-16, 1.5572965943949588e-15),
+    ("--k", "5"): (1.3322676295501878e-15, 1.1778964011900897e-15, 1.4655364458042816e-15),
+    ("--k", "6"): (1.887379141862766e-15, 1.2658490090568385e-15, 2.1986610499509687e-15),
+    ("--k", "7"): (1.9984014443252818e-15, 1.807312143953211e-15, 2.0368755414638747e-15),
+    ("--k", "3", "--debug-corrupt"): (0.012260679774998173, 0.013211703156057523,
+                                      0.029105543690265148),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_CHECK_RESIDUALS))
+def test_check_payload_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, "check", *argv, "--format", "json")
+    corrupt = "--debug-corrupt" in argv
+    assert code == (2 if corrupt else 0)
+    pentagon, hexagon, braid = _CHECK_RESIDUALS[argv]
+    expected = {"k": int(argv[1]), "pentagon_residual": pentagon,
+                "hexagon_residual": hexagon, "braid_relation_residual": braid,
+                "tolerance": 1e-9, "passed": not corrupt}
+    payload = json.loads(out)
+    assert payload == expected
+    assert [repr(payload[name]) for name in expected] == \
+        [repr(value) for value in expected.values()]
+
+
 def test_corrupt_check_does_not_reuse_clean_generators(capsys):
     assert run(capsys, "check", "--k", "4")[0] == 0
     code, out, _ = run(capsys, "check", "--k", "4", "--debug-corrupt",

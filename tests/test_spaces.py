@@ -1,5 +1,7 @@
 """Fusion-tree bases, braid generators, and block regrouping."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,53 @@ def test_mixed_charges_map_between_bases(model8):
     assert s.shape == (swapped.dim, basis.dim) == (1, 1)
     assert abs(abs(s[0, 0]) - 1) < 1e-12
     assert swap_leaves((1, 2), 1) == (2, 1)
+
+
+def _entrywise_generator(model, basis, position):
+    """Test-only copy of ``braid_generator`` as one R lookup and one tree
+    lookup per matrix entry."""
+    i = position - 1
+    a, b = basis.leaves[i], basis.leaves[i + 1]
+    target = enumerate_basis(model, swap_leaves(basis.leaves, position), basis.total)
+    matrix = np.zeros((target.dim, basis.dim), dtype=np.complex128)
+    for col, tree in enumerate(basis.trees):
+        prefix = tree.internals[i - 1] if i >= 1 else 0
+        upper = tree.internals[i + 1] if i + 1 < len(tree.internals) else tree.total
+        fwd = model.f_symbol(prefix, a, b, upper)
+        back = model.f_symbol(prefix, b, a, upper)
+        row_of = fwd.rows.index(tree.internals[i])
+        for e_new_idx, e_new in enumerate(back.rows):
+            amp = 0.0j
+            for g_idx, g in enumerate(fwd.cols):
+                amp += (fwd.matrix[row_of, g_idx] * model.r_symbol(a, b, g)
+                        * back.matrix[e_new_idx, g_idx])
+            if amp == 0.0j:
+                continue
+            internals = list(tree.internals)
+            internals[i] = e_new
+            matrix[target.index(FusionTree(target.leaves, tuple(internals))), col] = amp
+    return matrix
+
+
+@pytest.mark.parametrize("k, count", [(2, 284), (3, 2466), (5, 3827), (8, 5618)])
+def test_generators_equal_the_entrywise_route_bit_for_bit(k, count):
+    model = AnyonModel(k)
+    charges = [c for c in (1, 2, 3) if c <= k]
+    built = 0
+    for size in range(2, 6):
+        for leaves in itertools.product(charges, repeat=size):
+            for total in model.charges:
+                basis = enumerate_basis(model, leaves, total)
+                if basis.dim == 0:
+                    continue
+                for position in range(1, size):
+                    matrix = braid_generator(model, basis, position)
+                    expected = _entrywise_generator(model, basis, position)
+                    assert matrix.shape == expected.shape
+                    assert matrix.tobytes() == expected.tobytes()
+                    assert not matrix.flags.writeable
+                    built += 1
+    assert built == count
 
 
 def test_two_strand_exchange_order_ten(model3):
