@@ -65,6 +65,9 @@ def _encode(obj, pieces: list, indent: int) -> None:
         if not items:
             pieces.append("[]")
             return
+        if all(type(x) is int for x in items):
+            pieces.append("[" + ", ".join(map(str, items)) + "]")
+            return
         flat = all(isinstance(x, numbers.Number) for x in items)
         if flat:
             pieces.append("[")

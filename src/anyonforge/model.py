@@ -89,12 +89,16 @@ class SymbolCache:
     on first use; building ``f_table`` evaluates every F block in one
     batched pass and seeds ``f_symbols`` with each block not yet present,
     so a damaged block is kept), the fusion bases built by ``spaces.enumerate_basis``,
-    the braid generators built from the symbols by
+    the exchange blocks and braid generators built from the symbols by
     ``spaces.braid_generator``, the regrouped frames built by
     ``spaces.regroup`` and the word steps of ``synth.evaluate_tracked``.
-    ``steps`` maps (leaves, total, blocks, position, exponent) to the
-    read-only matrix of that composite letter with the leaves and grouping
-    it ends on; ``frames`` maps (leaves, total, blocks) to ``regroup``'s
+    ``exchanges`` maps (prefix, a, b, upper) to the local exchange of a and
+    b under ``prefix`` inside ``upper``: for each incoming channel e, the
+    nonzero (e', amplitude) pairs of F-move, R phase and F-move back, from
+    which every generator column over those charges is copied.  ``steps``
+    maps (leaves, total, blocks, position, exponent) to the read-only
+    matrix of that composite letter with the leaves and grouping it ends
+    on; ``frames`` maps (leaves, total, blocks) to ``regroup``'s
     (grouped basis, transform).  All clean models of one level share one
     table; a model whose F symbols are damaged works on a private copy
     (see ``AnyonModel.corrupt_f_symbol``).
@@ -107,6 +111,7 @@ class SymbolCache:
         self.f_table: _FTable | None = None
         self.r_table: np.ndarray | None = None
         self.bases: dict = {}
+        self.exchanges: dict = {}
         self.generators: dict = {}
         self.frames: dict = {}
         self.steps: dict = {}
@@ -404,7 +409,8 @@ class AnyonModel:
         The model first moves onto a private copy of its symbol table, so
         the shared clean table of this level, and every other model, stay
         untouched.  The copy holds the F and R symbols only: no bases,
-        generators, frames or word steps derived from the clean symbols.
+        exchange blocks, generators, frames or word steps derived from the
+        clean symbols.
         """
         block = self.f_symbol(a, b, c, d)
         table = SymbolCache(self.k)

@@ -121,13 +121,51 @@ def swap_leaves(leaves: tuple[int, ...], position: int) -> tuple[int, ...]:
     return tuple(swapped)
 
 
+def _exchange_block(model: AnyonModel, prefix: int, a: int, b: int,
+                    upper: int) -> dict[int, tuple[tuple[int, complex], ...]]:
+    """The exchange of a and b under ``prefix`` inside ``upper``, memoized
+    per symbol table (``model.symbols.exchanges``).
+
+    Maps each incoming (prefix a) channel e to its nonzero
+    ``(e', amp)`` pairs, e' ascending, with
+    ``amp = sum_g F[e, g] * R(a, b, g) * F'[e', g]``: F the F-move
+    (prefix, a, b, upper) into the pair channel g, F' the one with a and b
+    exchanged.  Each amp is summed from 0.0j in ascending g.
+    """
+    key = (prefix, a, b, upper)
+    cache = model.symbols.exchanges
+    block = cache.get(key)
+    if block is None:
+        fwd = model.f_symbol(prefix, a, b, upper)
+        back = model.f_symbol(prefix, b, a, upper)
+        phases = [model.r_symbol(a, b, g) for g in fwd.cols]
+        block = {}
+        for e, row in zip(fwd.rows, fwd.matrix):
+            weights = [coeff * phase for coeff, phase in zip(row, phases)]
+            entries = []
+            for e_new, coeffs in zip(back.rows, back.matrix):
+                amp = 0.0j
+                for weight, coeff in zip(weights, coeffs):
+                    amp += weight * coeff
+                if amp != 0.0j:
+                    entries.append((e_new, amp))
+            block[e] = tuple(entries)
+        cache[key] = block
+    return block
+
+
 def braid_generator(model: AnyonModel, basis: FusionBasis, position: int) -> np.ndarray:
     """Counterclockwise exchange of strands ``position`` and ``position``+1.
 
     Returns the unitary whose columns are indexed by ``basis`` and whose rows
     are indexed by ``enumerate_basis`` over the swapped leaf ordering.  Built
     by an F-move into the definite pair channel, the R phase, and the F-move
-    back with the leaves exchanged.
+    back with the leaves exchanged.  A column's tree enters that exchange
+    only through its charges around the pair: the charge before it
+    (prefix), after its first strand (e) and after both (upper).  The
+    level's exchange block at (prefix, a, b, upper) is built once per
+    symbol table; a column copies the block's entries for its e into the
+    rows of the trees that differ from it in e alone.
     """
     if not 1 <= position < len(basis.leaves):
         raise ValueError(f"position {position} outside 1..{len(basis.leaves) - 1}")
@@ -144,20 +182,10 @@ def braid_generator(model: AnyonModel, basis: FusionBasis, position: int) -> np.
     for col, tree in enumerate(basis.trees):
         internals = tree.internals
         prefix = internals[i - 1] if i >= 1 else 0
-        upper = internals[i + 1] if i + 1 < len(internals) else tree.total
-        fwd = model.f_symbol(prefix, a, b, upper)
-        back = model.f_symbol(prefix, b, a, upper)
-        # F[e, g] * R(g) once per column; each target row e' adds its
-        # weighted F[e', g] terms in ascending g.
-        weights = [coeff * model.r_symbol(a, b, g)
-                   for g, coeff in zip(fwd.cols, fwd.matrix[fwd.rows.index(internals[i])])]
-        for e_new, coeffs in zip(back.rows, back.matrix):
-            amp = 0.0j
-            for weight, coeff in zip(weights, coeffs):
-                amp += weight * coeff
-            if amp == 0.0j:
-                continue
-            matrix[rows[internals[:i] + (e_new,) + internals[i + 1:]], col] = amp
+        head, tail = internals[:i], internals[i + 1:]
+        block = _exchange_block(model, prefix, a, b, tail[0])
+        for e_new, amp in block[internals[i]]:
+            matrix[rows[head + (e_new,) + tail], col] = amp
     matrix.setflags(write=False)
     cache[key] = matrix
     return matrix
@@ -197,6 +225,14 @@ class Grouping:
     def block_charges(self, leaves: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """Leaf charges per block."""
         return tuple(tuple(leaves[p - 1] for p in block) for block in self.blocks)
+
+
+def _require_cover(grouping: Grouping, basis: FusionBasis) -> None:
+    """Refuse a grouping whose blocks do not tile the basis's strands."""
+    if grouping.strand_count != len(basis.leaves):
+        raise ValueError(
+            f"grouping covers {grouping.strand_count} strands, basis has {len(basis.leaves)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -288,10 +324,7 @@ def regroup(model: AnyonModel, basis: FusionBasis, grouping: Grouping
     unitary (read-only), and for the all-singletons grouping it is the
     identity.  Each frame is built once per symbol table.
     """
-    if grouping.strand_count != len(basis.leaves):
-        raise ValueError(
-            f"grouping covers {grouping.strand_count} strands, basis has {len(basis.leaves)}"
-        )
+    _require_cover(grouping, basis)
     key = (basis.leaves, basis.total, grouping.blocks)
     cache = model.symbols.frames
     hit = cache.get(key)
@@ -348,13 +381,18 @@ def composite_braid_generator(model: AnyonModel, basis: FusionBasis,
     The product of elementary strand exchanges that carries every strand of
     the left block past every strand of the right block, preserving the
     order inside each block.  Columns are indexed by ``basis``, rows by the
-    basis over the block-swapped leaf ordering.
+    basis over the block-swapped leaf ordering.  The result is read-only:
+    for two single-strand blocks it is the level's elementary generator
+    itself.
     """
     if not 1 <= position < len(grouping.blocks):
         raise ValueError(f"position {position} outside 1..{len(grouping.blocks) - 1}")
+    _require_cover(grouping, basis)
     left = grouping.blocks[position - 1]
     right = grouping.blocks[position]
     start = left[0]
+    if len(left) == len(right) == 1:
+        return braid_generator(model, basis, start)
     matrix = np.eye(basis.dim, dtype=np.complex128)
     leaves = basis.leaves
     # rightmost strand of the left block crosses first
@@ -364,10 +402,14 @@ def composite_braid_generator(model: AnyonModel, basis: FusionBasis,
             current = enumerate_basis(model, leaves, basis.total)
             matrix = braid_generator(model, current, pos) @ matrix
             leaves = swap_leaves(leaves, pos)
+    matrix.setflags(write=False)
     return matrix
 
 
 def swap_blocks(grouping: Grouping, position: int) -> Grouping:
-    """Grouping after exchanging blocks at 1-based ``position`` (sizes swap)."""
+    """Grouping after exchanging blocks at 1-based ``position`` (sizes swap);
+    ``grouping`` itself when the two blocks have the same size."""
     sizes = tuple(len(b) for b in grouping.blocks)
+    if sizes[position - 1] == sizes[position]:
+        return grouping
     return Grouping.of_sizes(*swap_leaves(sizes, position))

@@ -26,7 +26,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .model import AnyonModel, ConsistencyError, DEFAULT_TOLERANCE
 from .spaces import (
     FusionTree,
     Grouping,
+    _require_cover,
     braid_generator,
     composite_braid_generator,
     enumerate_basis,
@@ -137,23 +138,32 @@ def _block_swapped_leaves(leaves: tuple[int, ...], grouping: Grouping,
     return tuple(c for block in blocks for c in block)
 
 
+@cache
+def _singletons(strand_count: int) -> Grouping:
+    """The grouping with every strand a block of its own."""
+    return Grouping.of_sizes(*([1] * strand_count))
+
+
 def evaluate_tracked(model: AnyonModel, basis, word: BraidWord,
                      grouping: Grouping | None = None):
     """Product of composite generator matrices, applied letters[0] first.
 
     Returns (matrix, final_leaves, final_grouping); the matrix maps the
-    given basis to the basis over the final leaf arrangement.  Each letter's
-    matrix and end arrangement is built once per symbol table
-    (``model.symbols.steps``); a letter seen before costs one lookup and
-    one matrix product.
+    given basis to the basis over the final leaf arrangement, and belongs
+    to the caller.  Each letter's matrix and end arrangement is built once
+    per symbol table (``model.symbols.steps``); a letter seen before costs
+    one lookup and one matrix product.  ``grouping`` must cover the
+    basis's strands; by default every strand is a block.
     """
     if grouping is None:
-        grouping = Grouping.of_sizes(*([1] * len(basis.leaves)))
+        grouping = _singletons(len(basis.leaves))
+    else:
+        _require_cover(grouping, basis)
     if word.strand_count != len(grouping.blocks):
         raise ValueError("word strand count does not match block count")
     steps = model.symbols.steps
     total = basis.total
-    U = np.eye(basis.dim, dtype=np.complex128)
+    U = None
     leaves = basis.leaves
     g = grouping
     for pos, exp in word.letters:
@@ -169,10 +179,14 @@ def evaluate_tracked(model: AnyonModel, basis, word: BraidWord,
                 fwd = composite_braid_generator(
                     model, enumerate_basis(model, new_leaves, total), new_g, pos)
                 M = fwd.conj().T
-            M.setflags(write=False)
+                M.setflags(write=False)
             step = steps[key] = (M, new_leaves, new_g)
         M, leaves, g = step
-        U = M @ U
+        U = M if U is None else M @ U
+    if U is None:
+        U = np.eye(basis.dim, dtype=np.complex128)
+    elif len(word.letters) == 1:
+        U = U.copy()  # the shared, read-only step matrix
     return U, leaves, g
 
 
@@ -209,18 +223,18 @@ def verify_braid_relations(model: AnyonModel, leaves: tuple[int, ...]) -> float:
     leaf arrangement, so the comparison is frame-free).
     """
     n = len(leaves)
-    pairs = [(((i, 1), (i + 1, 1), (i, 1)), ((i + 1, 1), (i, 1), (i + 1, 1)))
+    words = [(BraidWord(n, ((i, 1), (i + 1, 1), (i, 1))),
+              BraidWord(n, ((i + 1, 1), (i, 1), (i + 1, 1))))
              for i in range(1, n - 1)]
-    pairs += [(((i, 1), (j, 1)), ((j, 1), (i, 1)))
+    words += [(BraidWord(n, ((i, 1), (j, 1))), BraidWord(n, ((j, 1), (i, 1))))
               for i in range(1, n - 1) for j in range(i + 2, n)]
     worst = 0.0
     for total in model.charges:
         basis = enumerate_basis(model, leaves, total)
-        if basis.dim == 0 or not pairs:
+        if basis.dim == 0 or not words:
             continue
-        gaps = np.stack([evaluate(model, basis, BraidWord(n, left))
-                         - evaluate(model, basis, BraidWord(n, right))
-                         for left, right in pairs])
+        gaps = np.stack([evaluate(model, basis, left) - evaluate(model, basis, right)
+                         for left, right in words])
         worst = max(worst, float(np.linalg.norm(gaps, ord=2, axis=(1, 2)).max()))
     return worst
 

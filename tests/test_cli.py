@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anyonforge import (AnyonModel, cli, make_target_B1, score_braid, search, synth,
+from anyonforge import (AnyonModel, BraidWord, braid_generator, cli, enumerate_basis,
+                        evaluate, make_target_B1, score_braid, search, synth,
                         write_braid_file)
 from anyonforge.cli import main
 from anyonforge.synth import BUILTIN_TARGETS
@@ -122,6 +123,25 @@ def test_corrupt_check_does_not_reuse_clean_generators(capsys):
     code, out, _ = run(capsys, "check", "--k", "4", "--format", "json")
     assert code == 0
     assert json.loads(out)["braid_relation_residual"] < 1e-12
+
+
+def test_corrupt_model_builds_its_own_exchange_blocks(capsys):
+    """``check --debug-corrupt`` damages F(1, 1, 1, 1): the exchange block
+    at those charges feeds the middle exchange of three spin-1/2 strands."""
+    assert run(capsys, "check", "--k", "4")[0] == 0
+    clean = AnyonModel(4)
+    basis = enumerate_basis(clean, (1, 1, 1), 1)
+    word = BraidWord(3, ((1, 1), (2, 1), (1, 1)))
+    before = evaluate(clean, basis, word).tobytes()
+    block = clean.symbols.exchanges[(1, 1, 1, 1)]
+    broken = AnyonModel(4)
+    broken.corrupt_f_symbol(1, 1, 1, 1)
+    assert broken.symbols.exchanges == {}
+    damaged = braid_generator(broken, enumerate_basis(broken, (1, 1, 1), 1), 2)
+    assert damaged.tobytes() != braid_generator(clean, basis, 2).tobytes()
+    assert broken.symbols.exchanges[(1, 1, 1, 1)] != block
+    assert clean.symbols.exchanges[(1, 1, 1, 1)] is block
+    assert evaluate(clean, basis, word).tobytes() == before
 
 
 # --- basis ------------------------------------------------------------------

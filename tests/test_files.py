@@ -68,6 +68,16 @@ def test_canonical_dumps_is_valid_json():
     assert json.loads(canonical_dumps(payload)) == payload
 
 
+def test_canonical_dumps_flat_list_layout():
+    """Lists of plain ints, and lists holding bools, numpy ints or floats,
+    share one layout."""
+    payload = {"ints": [3, -1, 0], "bools": [1, True], "mixed": [np.int64(2), 1.0],
+               "word": [[1, 1], [2, -1]]}
+    assert canonical_dumps(payload) == (
+        '{\n  "ints": [3, -1, 0],\n  "bools": [1, true],\n  "mixed": [2, 1.0],\n'
+        '  "word": [\n    [1, 1],\n    [2, -1]\n  ]\n}\n')
+
+
 # --- braid files ---------------------------------------------------------
 
 def test_braid_file_round_trip(tmp_path, model3):

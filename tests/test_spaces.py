@@ -167,6 +167,24 @@ def test_generators_equal_the_entrywise_route_bit_for_bit(k, count):
     assert built == count
 
 
+@pytest.mark.parametrize("k", [3, 5, 8])
+def test_single_strand_composite_is_the_generator_bit_for_bit(k):
+    """Two one-strand blocks exchange by the elementary generator itself;
+    a product with the identity would flip the sign of some zero parts."""
+    model = AnyonModel(k)
+    for size in range(2, 5):
+        grouping = Grouping.of_sizes(*[1] * size)
+        for leaves in itertools.product((1, 2), repeat=size):
+            for total in model.charges:
+                basis = enumerate_basis(model, leaves, total)
+                if basis.dim == 0:
+                    continue
+                for position in range(1, size):
+                    comp = composite_braid_generator(model, basis, grouping, position)
+                    assert comp.tobytes() == braid_generator(model, basis, position).tobytes()
+                    assert not comp.flags.writeable
+
+
 def test_two_strand_exchange_order_ten(model3):
     blocks = []
     for total in (0, 2):
@@ -247,6 +265,7 @@ def test_pair_composite_equals_coarse_r(model3):
     grouping = Grouping.of_sizes(2, 2)
     grouped, U = regroup(model3, basis, grouping)
     comp = composite_braid_generator(model3, basis, grouping, 1)
+    assert not comp.flags.writeable
     G = U @ comp @ U.conj().T
     position = {grouped.labels[i].block_charges: i for i in range(grouped.dim)}
     assert G[position[(0, 0)], position[(0, 0)]] == pytest.approx(

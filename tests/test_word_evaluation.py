@@ -19,6 +19,7 @@ from anyonforge import (
     MatrixRule,
     SynthesisTarget,
     braid_generator,
+    composite_braid_generator,
     enumerate_basis,
     evaluate,
     evaluate_tracked,
@@ -26,6 +27,7 @@ from anyonforge import (
     regroup,
     swap_leaves,
     synth,
+    verify_braid_relations,
 )
 from anyonforge.model import SymbolCache
 from anyonforge.spaces import swap_blocks
@@ -159,6 +161,54 @@ def test_warm_letters_build_nothing(monkeypatch):
         monkeypatch.setattr(synth, name, unexpected)
     monkeypatch.setattr(Grouping, "__post_init__", unexpected)
     assert evaluate(model, basis, word, grouping).tobytes() == expected.tobytes()
+
+
+def test_relation_words_equal_their_generator_products_bit_for_bit(monkeypatch):
+    """Every word ``verify_braid_relations`` evaluates is the product of its
+    elementary generators, first letter first, to the last bit."""
+    seen = []
+
+    def recording(model, basis, word, grouping=None):
+        seen.append((model, basis, word))
+        return evaluate(model, basis, word, grouping)
+
+    monkeypatch.setattr(synth, "evaluate", recording)
+    for k in (3, 5, 8):
+        for leaves in ((1, 1, 1), (1, 2, 1, 2), (2, 1, 1, 1)):
+            verify_braid_relations(AnyonModel(k), leaves)
+    assert len(seen) == 114
+    for model, basis, word in seen:
+        U, leaves = None, basis.leaves
+        for pos, exp in word.letters:
+            assert exp == 1
+            G = braid_generator(model, enumerate_basis(model, leaves, basis.total), pos)
+            U = G if U is None else G @ U
+            leaves = swap_leaves(leaves, pos)
+        assert evaluate(model, basis, word).tobytes() == U.tobytes()
+
+
+@pytest.mark.parametrize("letters", [(), ((2, 1),), ((2, -1),)])
+def test_short_words_hand_out_their_own_array(letters):
+    model = AnyonModel(3)
+    basis = enumerate_basis(model, (1, 1, 1, 1), 0)
+    word = BraidWord(4, letters)
+    U = evaluate(model, basis, word)
+    expected = U.tobytes()
+    assert U.flags.writeable
+    U[:] = 0.0
+    assert evaluate(model, basis, word).tobytes() == expected
+
+
+def test_grouping_must_cover_the_basis_strands():
+    model = AnyonModel(3)
+    model.symbols = SymbolCache(model.k)
+    basis = enumerate_basis(model, (1, 1, 1, 1), 0)
+    grouping = Grouping.of_sizes(1, 1)
+    with pytest.raises(ValueError, match="covers 2 strands, basis has 4"):
+        evaluate_tracked(model, basis, BraidWord(2, ((1, 1),)), grouping)
+    with pytest.raises(ValueError, match="covers 2 strands, basis has 4"):
+        composite_braid_generator(model, basis, grouping, 1)
+    assert model.symbols.steps == {} and model.symbols.generators == {}
 
 
 # --- cache isolation -----------------------------------------------------
