@@ -5,13 +5,19 @@ run no search never load it.
 
 The search walks the word forest one depth at a time.  A level holds every
 node of one depth as parallel arrays, in lex order of the node's word (the
-order of ``_Problem.all_moves``).  A node's sector matrices are one state
-row of ``re`` and one of ``im`` (see ``synth._Problem``), scored by
-``_Problem.score``.  ``_vmul`` splits each complex product of a generator
-and a node's matrix into float64 ufuncs in the order of complex scalar
-arithmetic, so its products equal the scalar ones bit for bit
-(``test_search_core`` keeps the scalar route as the oracle); complex ufuncs
-and ``matmul`` do not.
+order of ``_Problem.all_moves``).  Its sector matrices are entry-major (see
+``synth._Problem``): ``re`` and ``im`` hold one row per matrix entry and
+one column per node, so every ufunc runs along a contiguous row of nodes.
+``_Problem.score`` scores the columns.
+
+A walk's move table lists, per arrangement, the mobile block's letters in
+move order, each with its move index, next arrangement and, per sector, its
+generator.  ``_Walk.expand`` reads all children of a level off the table at
+once, already in lex order, and ``_vmul`` multiplies each child's generator
+into its parent's matrices.  ``_vmul`` splits each complex product into
+float64 ufuncs in the order of complex scalar arithmetic, so its products
+equal the scalar ones bit for bit (``test_search_core`` keeps the scalar
+route as the oracle); complex ufuncs and ``matmul`` do not.
 
 ``worker_job`` cuts the forest at ``_PREFIX_DEPTH``: ``_Walk.descend`` walks
 the stub (the shorter words) in worker 0 and each prefix's subtree.
@@ -27,29 +33,35 @@ from .model import AnyonModel
 from .synth import SynthesisTarget, _Problem, _rank
 
 
-def _vmul(coef: tuple, dims: tuple, re: np.ndarray, im: np.ndarray):
-    """G @ M for every node's M, one generator G per sector, given as
-    ``coef``: per sector, G's real and imaginary parts."""
+def _vmul(gens: tuple, dims: tuple, re: np.ndarray, im: np.ndarray):
+    """G @ M for every node, entry-major: ``re``/``im`` hold the nodes' M,
+    and ``gens`` per sector the real and imaginary parts of each node's own
+    G, shaped (n, n, nodes)."""
     out_re = np.empty_like(re)
     out_im = np.empty_like(im)
     start = 0
-    for (gr, gi), n in zip(coef, dims):
+    for (gr, gi), n in zip(gens, dims):
         stop = start + n * n
-        mr = re[:, start:stop].reshape(-1, n, n)
-        mi = im[:, start:stop].reshape(-1, n, n)
-        acc_r = acc_i = None
+        mr = re[start:stop].reshape(n, n, -1)
+        mi = im[start:stop].reshape(n, n, -1)
+        acc_r = out_re[start:stop].reshape(n, n, -1)
+        acc_i = out_im[start:stop].reshape(n, n, -1)
         for t in range(n):
-            a, b = gr[:, t, None], gi[:, t, None]            # G[i, t]
-            xr, xi = mr[:, t, None, :], mi[:, t, None, :]    # M[t, j]
-            pr = a * xr - b * xi
-            pi = a * xi + b * xr
-            if acc_r is None:  # from three rows on, the sum starts at 0.0j
-                acc_r, acc_i = (pr, pi) if n < 3 else (0.0 + pr, 0.0 + pi)
-            else:
-                acc_r += pr
-                acc_i += pi
-        out_re[:, start:stop] = acc_r.reshape(-1, n * n)
-        out_im[:, start:stop] = acc_i.reshape(-1, n * n)
+            a, b = gr[:, t, None], gi[:, t, None]   # G[i, t]
+            xr, xi = mr[t], mi[t]                   # M[t, j]
+            # G[i, t] * M[t, j] is (a*xr - b*xi) + (a*xi + b*xr)j; the first
+            # term is formed in the sum, each later one whole, then added.
+            part = np.multiply(a, xr, out=None if t else acc_r)
+            part -= b * xi
+            if t:
+                acc_r += part
+            part = np.multiply(a, xi, out=None if t else acc_i)
+            part += b * xr
+            if t:
+                acc_i += part
+            elif n >= 3:  # from three rows on, the sum starts at 0.0j
+                acc_r += 0.0
+                acc_i += 0.0
         start = stop
     return out_re, out_im
 
@@ -72,7 +84,8 @@ def _round12(x: np.ndarray) -> np.ndarray:
 class _Level:
     """The nodes of one depth, as parallel arrays in lex order of word:
     arrangement id, last move index, index of the parent in the level above,
-    subtree (the scope of dedup), and the flat sector matrices."""
+    subtree (the scope of dedup), and the sector matrices, entry-major
+    (one row per entry, one column per node)."""
 
     __slots__ = ("arr", "last", "parent", "tree", "re", "im")
 
@@ -83,15 +96,19 @@ class _Level:
     def __len__(self) -> int:
         return len(self.arr)
 
-    def take(self, index) -> "_Level":
-        return _Level(self.arr[index], self.last[index], self.parent[index],
-                      self.tree[index], self.re[index], self.im[index])
+    def take(self, index: np.ndarray) -> "_Level":
+        return _Level(*(getattr(self, f).take(index, axis=-1) for f in self.__slots__))
+
+    def split(self, cut: int) -> list:
+        """The nodes before ``cut`` and those from it on, as views."""
+        return [_Level(*(getattr(self, f)[..., part] for f in self.__slots__))
+                for part in (slice(cut), slice(cut, None))]
 
     def first_per_key(self) -> np.ndarray:
         """Indices, in order, of the first node per (subtree, arrangement,
         state rounded to 12 digits): the nodes a seen set lets through."""
         keys = [self.tree.astype(np.int64), self.arr.astype(np.int64)]
-        keys += [_round12(column).view(np.int64) for column in (*self.re.T, *self.im.T)]
+        keys += [*_round12(self.re).view(np.int64), *_round12(self.im).view(np.int64)]
 
         def starts(order):
             new = np.zeros(len(order), dtype=bool)
@@ -121,15 +138,16 @@ class _Level:
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 # Children a batch of subtrees may have at one depth before the walk splits
-# it; bounds the walk's memory to a few MB.
+# it; bounds the walk's memory: the tracemalloc peak of a one-worker NOT
+# search at k=3, L=20 is 2.8 MB (numpy 2.4).
 _BATCH_NODES = 1 << 13
 
 # Length of the prefixes dealt to the shares (capped at the length limit).
 _PREFIX_DEPTH = 4
 
-# Most children of one weave node: the mobile block's four letters, less the
-# inverse of the last one.
-_BRANCHING = 3
+# The mobile block's four letters, one move-table slot each.  A node has at
+# most _SLOTS - 1 children: every letter but the inverse of its last one.
+_SLOTS = 4
 
 
 class _Walk:
@@ -142,10 +160,30 @@ class _Walk:
         # Move index -> letter; (p, 1) and (p, -1) are 2(p-1) and 2(p-1)+1,
         # so index order is lex order and m ^ 1 is the inverse of m.
         self.letters = problem.all_moves()
-        self.arrangements: list = []
-        self._ids: dict = {}
-        self.final = self._arrangement_id(problem.final_arr)
-        self._outgoing: dict = {}
+        # The move table: slot a * _SLOTS + s holds the s-th letter of the
+        # mobile block in arrangement id a, in move order: its move index,
+        # next arrangement id (-1 in unused slots), and per sector its
+        # generator G, stacked as (G.real, G.imag), each (n, n, slots).
+        self.arrangements = [problem.initial_arr]
+        edges = {}
+        for a, arr in enumerate(self.arrangements):  # grows while the loop runs
+            for s, (p, e) in enumerate(problem.moves(arr.index(problem.mobile) + 1)):
+                new_arr, gens = problem.transition(arr, p, e)
+                if new_arr not in self.arrangements:
+                    self.arrangements.append(new_arr)
+                edges[a * _SLOTS + s] = (self.letters.index((p, e)),
+                                         self.arrangements.index(new_arr), gens)
+        size = len(self.arrangements) * _SLOTS
+        self.move = np.full((len(self.arrangements), _SLOTS), -1, dtype=np.int32)
+        self.next = self.move.copy()
+        self.gens = tuple((np.zeros((n, n, size)), np.zeros((n, n, size)))
+                          for n in problem.dims)
+        for slot, (m, b, gens) in edges.items():
+            self.move.flat[slot], self.next.flat[slot] = m, b
+            for (gr, gi), G in zip(self.gens, gens):
+                gr[..., slot], gi[..., slot] = G.real, G.imag
+        self.final = (self.arrangements.index(problem.final_arr)
+                      if problem.final_arr in self.arrangements else -1)
         # Per depth down to the current level: (parent, last) of the nodes
         # kept for expansion, for spelling out words.
         self.trail: list = []
@@ -154,36 +192,12 @@ class _Walk:
         self.scores = [float("inf")] * (max_length + 1)
         self.best = None  # (score, letters) of the best word by _rank
 
-    def _arrangement_id(self, arr: tuple) -> int:
-        if arr not in self._ids:
-            self._ids[arr] = len(self.arrangements)
-            self.arrangements.append(arr)
-        return self._ids[arr]
-
-    def outgoing(self, a: int) -> list:
-        """(move index, next arrangement id, per-sector (G.real, G.imag))
-        per letter available to the mobile block in arrangement ``a``, in
-        canonical order."""
-        hit = self._outgoing.get(a)
-        if hit is None:
-            problem = self.problem
-            arr = self.arrangements[a]
-            hit = []
-            for p, e in problem.moves(arr.index(problem.mobile) + 1):
-                new_arr, gens = problem.transition(arr, p, e)
-                hit.append((self.letters.index((p, e)),
-                            self._arrangement_id(new_arr),
-                            tuple((G.real, G.imag) for G in gens)))
-            self._outgoing[a] = hit
-        return hit
-
     def root(self) -> _Level:
         """The empty word: identity sector matrices."""
         problem = self.problem
         re, im = problem.rows([[np.eye(n) for n in problem.dims]])
         one = np.zeros(1, dtype=np.int32)
-        return _Level(one + self._arrangement_id(problem.initial_arr),
-                      one - 1, one - 1, one, re, im)
+        return _Level(one, one - 1, one - 1, one, re, im)
 
     def expand(self, level: _Level, only_final: bool = False):
         """(children of every node in lex order, number of children).
@@ -191,37 +205,21 @@ class _Walk:
         With ``only_final``, children outside the final arrangement are
         counted but not built: at the last depth they are never expanded.
         """
-        groups = []
-        count = 0
-        for a in np.flatnonzero(np.bincount(level.arr)).tolist():
-            rows_a = np.flatnonzero(level.arr == a)
-            last_a = level.last[rows_a]
-            for m, b, coef in self.outgoing(a):
-                rows = rows_a[last_a != (m ^ 1)]
-                count += len(rows)
-                if len(rows) and (b == self.final or not only_final):
-                    groups.append((rows, m, b, coef))
-        # A parent's children sit together, in move order; groups of one
-        # arrangement come in move order, so each fills the next free slot.
-        fill = np.zeros(len(level) + 1, dtype=np.intp)
-        for rows, _, _, _ in groups:
-            fill[rows + 1] += 1
-        np.cumsum(fill, out=fill)
-        size = int(fill[-1])
-        width = level.re.shape[1]
-        kids = _Level(np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32),
-                      np.empty(size, dtype=np.int32), None,
-                      np.empty((size, width)), np.empty((size, width)))
-        for rows, m, b, coef in groups:
-            dest = fill[rows]
-            fill[rows] += 1
-            kids.arr[dest] = b
-            kids.last[dest] = m
-            kids.parent[dest] = rows
-            kids.re[dest], kids.im[dest] = _vmul(coef, self.problem.dims,
-                                                 level.re[rows], level.im[rows])
-        kids.tree = level.tree[kids.parent]
-        return kids, count
+        move = self.move.take(level.arr, axis=0)
+        ok = (move >= 0) & (move != (level.last ^ 1)[:, None])
+        count = int(np.count_nonzero(ok))
+        if only_final:
+            ok &= self.next.take(level.arr, axis=0) == self.final
+        # Row-major order of (parent, slot) is lex order of the children.
+        parent, slot = np.nonzero(ok)
+        edge = level.arr.take(parent) * _SLOTS + slot
+        parent = parent.astype(np.int32)
+        re, im = _vmul(tuple((gr.take(edge, axis=2), gi.take(edge, axis=2))
+                             for gr, gi in self.gens),
+                       self.problem.dims,
+                       level.re.take(parent, axis=1), level.im.take(parent, axis=1))
+        return _Level(self.next.take(edge), move[ok], parent, level.tree.take(parent),
+                      re, im), count
 
     def keep(self, depth: int, level: _Level) -> None:
         """Record the nodes at ``depth`` that will be expanded next."""
@@ -242,7 +240,8 @@ class _Walk:
         index = np.flatnonzero(level.arr == self.final)
         if not len(index):
             return None
-        scores = self.problem.score(level.re[index], level.im[index])
+        scores = self.problem.score(level.re.take(index, axis=1),
+                                    level.im.take(index, axis=1))
         i = int(np.argmin(scores))  # first minimum: the lex-smallest word
         return float(scores[i]), self.word(level, int(index[i]))
 
@@ -264,12 +263,11 @@ class _Walk:
         """
         while depth < stop:
             tree = level.tree
-            if len(level) * _BRANCHING > _BATCH_NODES and tree[0] != tree[-1]:
+            if len(level) * (_SLOTS - 1) > _BATCH_NODES and tree[0] != tree[-1]:
                 cut = int(np.searchsorted(tree, tree[len(tree) // 2]))
                 if cut == 0:
                     cut = int(np.searchsorted(tree, tree[0], side="right"))
-                for half in (slice(0, cut), slice(cut, None)):
-                    part = level.take(half)
+                for part in level.split(cut):
                     self.keep(depth, part)
                     self.descend(part, depth, stop)
                 return

@@ -466,11 +466,13 @@ class _Problem:
     """Per-worker search context: move generation, sector generators from
     the symbol table, and the one rule scorer.
 
-    A state is one row of ``re`` and one of ``im``: each ruled sector's
-    n x n matrix flat, sector after sector.  The scorer works on many rows
-    at once in float64 ufuncs (``np.hypot`` for ``abs``, ``np.float_power``
-    for ``**``), summing left to right from zero; ``test_search_core``
-    checks it bit for bit against complex scalar arithmetic.
+    States are stored entry-major: one column of ``re`` and one of ``im``
+    per state, holding each ruled sector's n x n matrix flat, sector after
+    sector, so entry i of every state is the contiguous row ``re[i]``.  The
+    scorer works on many states at once in float64 ufuncs (``np.hypot`` for
+    ``abs``, ``np.float_power`` for ``**``), summing left to right from
+    zero; ``test_search_core`` checks it bit for bit against complex scalar
+    arithmetic.
     """
 
     def __init__(self, model: AnyonModel, target: SynthesisTarget):
@@ -483,7 +485,7 @@ class _Problem:
         self.sectors = tuple(sorted({r.sector for r in target.rules}))
         sector_pos = {s: i for i, s in enumerate(self.sectors)}
         self.dims = tuple(enumerate_basis(model, s, 0).dim for s in self.sectors)
-        # First flat column of each sector in a state row.
+        # First row of each sector's entries.
         self.offsets = tuple(sum(d * d for d in self.dims[:i])
                              for i in range(len(self.dims)))
         self.rules = tuple((rule, sector_pos[rule.sector]) for rule in target.rules)
@@ -518,20 +520,20 @@ class _Problem:
         return new_arr, gens
 
     def rows(self, states) -> tuple[np.ndarray, np.ndarray]:
-        """(re, im) rows of states given as per-sector matrices."""
+        """(re, im), entry-major, of states given as per-sector matrices."""
         flat = np.array([[z for M in state for z in np.ravel(M)] for state in states],
-                        dtype=np.complex128)
-        return flat.real, flat.imag
+                        dtype=np.complex128).T
+        return np.ascontiguousarray(flat.real), np.ascontiguousarray(flat.imag)
 
     def deviations(self, re: np.ndarray, im: np.ndarray, rules) -> list:
-        """Per (rule, sector index) of ``rules``, its deviation on every row."""
+        """Per (rule, sector index) of ``rules``, its deviation on every state."""
         out = []
         for rule, si in rules:
             n = self.dims[si]
             o = self.offsets[si]
             if isinstance(rule, PhaseRule):
                 ref = complex(rule.reference)
-                dev = np.hypot(re[:, o] - ref.real, im[:, o] - ref.imag)
+                dev = np.hypot(re[o] - ref.real, im[o] - ref.imag)
             elif isinstance(rule, ColumnRule):
                 cols = [o + i * n + rule.input_index for i in range(n)]
                 total = 0.0
@@ -539,16 +541,16 @@ class _Problem:
                     for i, c in enumerate(cols):
                         w = rule.exact_value * rule.target[i]
                         total = total + np.float_power(
-                            np.hypot(re[:, c] - w.real, im[:, c] - w.imag), 2)
+                            np.hypot(re[c] - w.real, im[c] - w.imag), 2)
                     dev = np.float_power(total, 0.5)
                 else:
                     # Norm of the column's part orthogonal to the target.
                     along_r = along_i = 0.0
                     for i, c in enumerate(cols):
-                        total = total + np.float_power(np.hypot(re[:, c], im[:, c]), 2)
+                        total = total + np.float_power(np.hypot(re[c], im[c]), 2)
                         t = rule.target[i].conjugate()
-                        along_r = along_r + (t.real * re[:, c] - t.imag * im[:, c])
-                        along_i = along_i + (t.real * im[:, c] + t.imag * re[:, c])
+                        along_r = along_r + (t.real * re[c] - t.imag * im[c])
+                        along_i = along_i + (t.real * im[c] + t.imag * re[c])
                     along = np.hypot(along_r, along_i)
                     dev = np.float_power(np.maximum(0.0, total - along * along), 0.5)
             else:
@@ -557,7 +559,7 @@ class _Problem:
                     for j in range(n):
                         t = rule.target[i][j]
                         # M[i, j].conjugate() * t
-                        mr, mi = re[:, o + i * n + j], -im[:, o + i * n + j]
+                        mr, mi = re[o + i * n + j], -im[o + i * n + j]
                         tr_r = tr_r + (mr * t.real - mi * t.imag)
                         tr_i = tr_i + (mr * t.imag + mi * t.real)
                 dev = np.float_power(
@@ -566,8 +568,8 @@ class _Problem:
         return out
 
     def score(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-        """Worst rule deviation of every row."""
-        worst = np.zeros(len(re))
+        """Worst rule deviation of every state."""
+        worst = np.zeros(re.shape[1])
         for dev in self.deviations(re, im, self.rules):
             np.maximum(worst, dev, out=worst)
         return worst
@@ -663,13 +665,13 @@ def _finish(model: AnyonModel, target: SynthesisTarget, tolerance: float,
     problem = _Problem(model, target)
     re, im = problem.rows([_replay(problem, word.letters),
                            _coarse_from_full(problem, word)])
-    gap = float(np.hypot(re[0] - re[1], im[0] - im[1]).max())
+    gap = float(np.hypot(re[:, 0] - re[:, 1], im[:, 0] - im[:, 1]).max())
     if not gap <= 1e-12:
         raise ConsistencyError(
             f"coarse tracking and full-space evaluation disagree: sector "
             f"entries differ by up to {gap!r}")
 
-    re, im = re[1:], im[1:]
+    re, im = re[:, 1:], im[:, 1:]
     full_score = float(problem.score(re, im)[0])
     # Leakage: the part of each designated column off its target direction.
     leaks = [(replace(rule, exact_value=None), si) for rule, si in problem.rules

@@ -3,7 +3,7 @@
 Each case runs one weave search and records the best word's letters, the
 ``repr`` of its distance and the first four fields of every curve row
 (length, best distance, nodes explored, frontier).  ``test_search_goldens``
-in ``test_synth.py`` re-runs every case and compares.
+in ``test_search_core.py`` re-runs every case and compares.
 
 Run from the repository root::
 

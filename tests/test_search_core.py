@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from anyonforge import (
     enumerate_basis,
     make_target_B1,
     make_target_P,
+    make_target_unitary,
     search,
     synth,
 )
@@ -143,9 +145,10 @@ def _flat(state) -> tuple:
 
 
 def _rows(states):
+    """Entry-major (re, im): one row per matrix entry, one column per state."""
     flat = [[z for M in state for z in M] for state in states]
-    return ([[z.real for z in row] for row in flat],
-            [[z.imag for z in row] for row in flat])
+    return ([[row[i].real for row in flat] for i in range(len(flat[0]))],
+            [[row[i].imag for row in flat] for i in range(len(flat[0]))])
 
 
 def _random_states(problem, rng, count):
@@ -213,7 +216,8 @@ def _scalar_score(problem, state: tuple) -> float:
 @given(st.data())
 def test_batched_route_is_bit_exact(data):
     """_vmul and _Problem.score equal the scalar route with float ==, on
-    random weave words and on random states, many nodes per batch."""
+    random weave words and on random states, many nodes per batch, each
+    node multiplied by a letter of its own."""
     problem = data.draw(_weave_problem())
     words = data.draw(st.lists(_weave_word(problem), min_size=1, max_size=5))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="states"))
@@ -224,16 +228,123 @@ def test_batched_route_is_bit_exact(data):
         _scalar_score(problem, state) for state in states]
 
     # One more letter for every node, batched and scalar.
-    p, e = data.draw(st.sampled_from(problem.all_moves()))
-    _, gens = problem.transition(problem.initial_arr, p, e)
-    coef = tuple((G.real, G.imag) for G in gens)
-    re, im = _frontier._vmul(coef, problem.dims, re, im)
+    letters = problem.all_moves()
+    node_gens = [problem.transition(problem.initial_arr, *letters[m])[1]
+                 for m in rng.integers(len(letters), size=len(states))]
+    stacked = tuple(np.stack(column, axis=2) for column in zip(*node_gens))
+    re, im = _frontier._vmul(tuple((G.real, G.imag) for G in stacked),
+                             problem.dims, re, im)
     states = [tuple(_flat_mul(g, M, n)
                     for g, M, n in zip(_flat(gens), state, problem.dims))
-              for state in states]
+              for gens, state in zip(node_gens, states)]
     assert (re.tolist(), im.tolist()) == _rows(states)
     assert problem.score(re, im).tolist() == [
         _scalar_score(problem, state) for state in states]
+
+
+# --- children of a level ---------------------------------------------------
+
+def _target(model, name):
+    if name == "NOT":
+        return make_target_unitary(model, np.array([[0, 1], [1, 0]]), name="NOT")
+    return synth.BUILTIN_TARGETS[name](model)
+
+
+def _column_state(level, node, dims) -> tuple:
+    """A node's sector matrices, flat, from its entry-major column."""
+    column = [complex(r, i) for r, i in zip(level.re[:, node], level.im[:, node])]
+    out, start = [], 0
+    for n in dims:
+        out.append(tuple(column[start:start + n * n]))
+        start += n * n
+    return tuple(out)
+
+
+def _children_one_by_one(walk, level, only_final):
+    """The children ``expand`` must build, node by node and letter by
+    letter: (arr, last, parent, tree, state) each, and their count."""
+    problem = walk.problem
+    kids, count = [], 0
+    for node in range(len(level)):
+        arr = walk.arrangements[level.arr[node]]
+        state = _column_state(level, node, problem.dims)
+        for p, e in problem.moves(arr.index(problem.mobile) + 1):
+            m = walk.letters.index((p, e))
+            if m == level.last[node] ^ 1:
+                continue
+            count += 1
+            new_arr, gens = problem.transition(arr, p, e)
+            b = walk.arrangements.index(new_arr)
+            if only_final and b != walk.final:
+                continue
+            kids.append((b, m, node, int(level.tree[node]),
+                         tuple(_flat_mul(g, M, n) for g, M, n
+                               in zip(_flat(gens), state, problem.dims))))
+    return kids, count
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("name", ["P", "E", "NOT"])
+def test_expand_builds_children_in_lex_order(k, name):
+    """``expand`` and ``expand(only_final=True)`` give, on levels a few
+    depths down, the children a per-node loop over the letters gives: same
+    order, arrangement, last letter, parent, subtree and count, and
+    matrices equal bit for bit to the scalar products."""
+    model = AnyonModel(k)
+    walk = _frontier._Walk(synth._Problem(model, _target(model, name)), 8)
+    level = walk.root()
+    for depth in range(7):
+        if depth == 3:  # subtrees, as the prefixes get them
+            level.tree = np.arange(len(level), dtype=np.int32)
+        for only_final in (False, True):
+            kids, count = walk.expand(level, only_final=only_final)
+            want, want_count = _children_one_by_one(walk, level, only_final)
+            assert count == want_count
+            assert kids.arr.tolist() == [kid[0] for kid in want]
+            assert kids.last.tolist() == [kid[1] for kid in want]
+            assert kids.parent.tolist() == [kid[2] for kid in want]
+            assert kids.tree.tolist() == [kid[3] for kid in want]
+            flat = np.array([[z for M in kid[4] for z in M] for kid in want],
+                            dtype=np.complex128).reshape(len(want), kids.re.shape[0])
+            assert kids.re.tobytes() == np.ascontiguousarray(flat.real.T).tobytes()
+            assert kids.im.tobytes() == np.ascontiguousarray(flat.imag.T).tobytes()
+        level, _ = walk.expand(level)
+        level = level.take(level.first_per_key())
+
+
+def test_batch_splits_do_not_change_results(monkeypatch):
+    """With batches of at most 32 children, the walk splits levels down to
+    single subtrees and still gives the default run's word, distance and
+    rows."""
+    cases = [(k, name) for k in (3, 5) for name in ("P", "E", "NOT")]
+    default = {}
+    for k, name in cases:
+        model = AnyonModel(k)
+        default[k, name] = search(model, _target(model, name), 12)
+    monkeypatch.setattr(_frontier, "_BATCH_NODES", 32)
+    for k, name in cases:
+        model = AnyonModel(k)
+        split = search(model, _target(model, name), 12)
+        want = default[k, name]
+        assert split.braid == want.braid, (k, name)
+        assert repr(split.distance) == repr(want.distance), (k, name)
+        assert [r[:4] for r in split.stats.rows] == [r[:4] for r in want.stats.rows]
+
+
+def test_search_working_memory_is_bounded():
+    """Batches of at most ``_BATCH_NODES`` children bound the search's own
+    allocations, as in ``test_pentagon_working_memory_is_bounded``:
+    measured 2.8 MB for a one-worker NOT search at k=3, L=20."""
+    model = AnyonModel(3)
+    target = _target(model, "NOT")
+    search(model, target, 6)  # symbols and generators, outside the count
+    tracemalloc.start()
+    try:
+        search(model, target, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # --- dedup key rounding ----------------------------------------------------

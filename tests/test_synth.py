@@ -395,6 +395,27 @@ def test_stub_edges_do_not_depend_on_shares(model3, inline_pool, name):
             assert _strip(many.stats.rows) == _strip(one.stats.rows), (length, workers)
 
 
+@pytest.mark.parametrize("name", ["P", "E", "NOT"])
+def test_shares_without_prefixes(model3, monkeypatch, inline_pool, name):
+    """Forty shares over the 18 prefixes of depth 4: 22 shares walk empty
+    levels, and the result is still the one share's word, distance and
+    rows."""
+    sizes, _ = inline_pool
+    monkeypatch.setattr(synth.os, "cpu_count", lambda: 40)
+    if name == "NOT":
+        target = make_target_unitary(model3, X, name="NOT")
+    else:
+        target = synth.BUILTIN_TARGETS[name](model3)
+    for length in (4, 5, 9):
+        one = search(model3, target, length)
+        assert one.stats.rows[3][3] == 18
+        many = search(model3, target, length, workers=40)
+        assert sizes.pop() == 40
+        assert many.braid == one.braid, length
+        assert repr(many.distance) == repr(one.distance), length
+        assert _strip(many.stats.rows) == _strip(one.stats.rows), length
+
+
 def test_search_monotone_in_length(model3):
     target = make_target_B1(model3)
     best = [search(model3, target, L).distance for L in (4, 6, 8)]
