@@ -50,6 +50,8 @@ EXIT_NOT_CONVERGED = 3
 
 # How far a re-scored distance may drift from the stored one.
 _DRIFT_TOLERANCE = 1e-12
+# The component files each assembled gate takes, by the target id they store.
+_GATE_COMPONENTS = {"cz": ("P",), "ccz": ("B1", "P", "B3"), "convert": ("E",)}
 
 
 class UsageError(ValueError):
@@ -260,6 +262,11 @@ def cmd_assemble(args: argparse.Namespace) -> int:
     ks = {payload["k"] for _, payload in payloads}
     if len(ks) > 1:
         raise UsageError(f"component files disagree on k: {sorted(ks)}")
+    needed = _GATE_COMPONENTS[args.gate]
+    ids = [payload["target"] for _, payload in payloads]
+    if sorted(ids) != sorted(needed):
+        raise UsageError(f"gate {args.gate} takes one component each of "
+                         f"{', '.join(needed)}; got {', '.join(ids)}")
     model = AnyonModel(ks.pop())
     loaded = {}
     for path, payload in payloads:
@@ -270,18 +277,12 @@ def cmd_assemble(args: argparse.Namespace) -> int:
                 f"reproduce (recomputed {result.distance!r})")
         loaded[payload["target"]] = result
 
-    def pick(name: str):
-        if name not in loaded:
-            raise UsageError(f"gate {args.gate} needs a {name} component; "
-                             f"got {sorted(loaded)}")
-        return loaded[name]
-
     if args.gate == "cz":
-        report = assemble_controlled_phase(model, pick("P"))
+        report = assemble_controlled_phase(model, loaded["P"])
     elif args.gate == "ccz":
-        report = assemble_ccz(model, pick("B1"), pick("P"), pick("B3"))
+        report = assemble_ccz(model, loaded["B1"], loaded["P"], loaded["B3"])
     else:
-        report = convert_registers(model, args.direction, pick("E"))
+        report = convert_registers(model, args.direction, loaded["E"])
 
     payload = gate_report_payload(report)
     budget = ", ".join(f"{name} {dist:.6g}" for name, dist in
@@ -397,7 +398,7 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--workers", type=int, default=1)
 
     p_asm = command("assemble", "compose stored braids into a gate", level=False)
-    p_asm.add_argument("--gate", choices=("cz", "ccz", "convert"), required=True)
+    p_asm.add_argument("--gate", choices=tuple(_GATE_COMPONENTS), required=True)
     p_asm.add_argument("--direction", choices=("merge", "split"), default=None)
     p_asm.add_argument("components", nargs="+", type=Path,
                        help="braid JSON files (cz: P; ccz: B1 P B3; convert: E)")

@@ -20,9 +20,11 @@ blocks, agrees with the elementary generator of the coarse system.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -248,13 +250,16 @@ class GroupedLabel:
     coarse: tuple[int, ...]
     block_internals: tuple[tuple[int, ...], ...]
 
-    def sort_key(self):
-        return (self.block_charges, self.coarse, self.block_internals)
-
 
 @dataclass(frozen=True)
 class GroupedBasis:
-    """Ordered regrouped basis; sectors are runs of equal block charges."""
+    """Ordered regrouped basis, a grid per sector.
+
+    Labels come sector by sector, block charges ascending.  Within a
+    sector they run coarse tree major (the coarse basis's order), then
+    over the product of the blocks' internal trees (each block's basis
+    order), so a sector's run reshapes to (coarse trees, internal trees).
+    """
 
     k: int
     leaves: tuple[int, ...]
@@ -276,12 +281,17 @@ class GroupedBasis:
         except KeyError:
             raise KeyError(f"label {label} not in basis") from None
 
-    def sectors(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Map block-charge assignment -> indices of its basis vectors."""
+    @cached_property
+    def _sectors(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
         out: dict[tuple[int, ...], list[int]] = {}
         for i, label in enumerate(self.labels):
             out.setdefault(label.block_charges, []).append(i)
-        return {key: tuple(val) for key, val in out.items()}
+        return MappingProxyType({key: tuple(val) for key, val in out.items()})
+
+    def sectors(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
+        """Map block-charge assignment -> indices of its basis vectors
+        (one contiguous run each); built once per frame, read-only."""
+        return self._sectors
 
 
 def _absorb(model: AnyonModel, prefix: int, block_leaves: tuple[int, ...],
@@ -308,21 +318,16 @@ def _absorb(model: AnyonModel, prefix: int, block_leaves: tuple[int, ...],
     return out
 
 
-def _enumerate_block_trees(model: AnyonModel, leaves: tuple[int, ...]):
-    """(charge, internals) pairs for every tree over a block's leaves."""
-    for total in range(model.k + 1):
-        basis = enumerate_basis(model, leaves, total)
-        for tree in basis.trees:
-            yield total, tree.internals
-
-
 def regroup(model: AnyonModel, basis: FusionBasis, grouping: Grouping
             ) -> tuple[GroupedBasis, np.ndarray]:
     """Unitary change of basis from fine comb trees to block-adapted trees.
 
     Returns ``(grouped, U)`` with ``U[g, f] = <grouped_g | fine_f>``; U is
     unitary (read-only), and for the all-singletons grouping it is the
-    identity.  Each frame is built once per symbol table.
+    identity.  Labels are emitted in ``GroupedBasis`` order: sector by
+    sector, block charges ascending, then each coarse tree times the
+    product of the blocks' trees.  Each frame is built once per symbol
+    table.
     """
     _require_cover(grouping, basis)
     key = (basis.leaves, basis.total, grouping.blocks)
@@ -330,28 +335,21 @@ def regroup(model: AnyonModel, basis: FusionBasis, grouping: Grouping
     hit = cache.get(key)
     if hit is not None:
         return hit
-    per_block = [
-        sorted(set(_enumerate_block_trees(model, charges)))
-        for charges in grouping.block_charges(basis.leaves)
-    ]
+    block_leaf_charges = grouping.block_charges(basis.leaves)
+    per_block = [[(c, trees) for c in range(model.k + 1)
+                  if (trees := enumerate_basis(model, leaves, c).trees)]
+                 for leaves in block_leaf_charges]
     labels: list[GroupedLabel] = []
-    for choice in product(*per_block):
-        charges = tuple(c for c, _ in choice)
-        coarse_seqs = [(charges[0],)]
-        for c in charges[1:]:
-            coarse_seqs = [
-                seq + (nxt,) for seq in coarse_seqs for nxt in model.fuse(seq[-1], c)
-            ]
-        for coarse in coarse_seqs:
-            if coarse[-1] != basis.total:
-                continue
-            labels.append(GroupedLabel(charges, coarse, tuple(t for _, t in choice)))
-    labels.sort(key=GroupedLabel.sort_key)
+    for sector in product(*per_block):
+        charges = tuple(c for c, _ in sector)
+        for coarse in enumerate_basis(model, charges, basis.total).trees:
+            for choice in product(*(trees for _, trees in sector)):
+                labels.append(GroupedLabel(charges, coarse.internals,
+                                           tuple(t.internals for t in choice)))
     grouped = GroupedBasis(model.k, basis.leaves, basis.total, grouping, tuple(labels))
 
     fine_index = {tree.internals: i for i, tree in enumerate(basis.trees)}
     matrix = np.zeros((len(labels), basis.dim), dtype=np.complex128)
-    block_leaf_charges = grouping.block_charges(basis.leaves)
     for row, label in enumerate(labels):
         expansions = []
         for j, block_charges in enumerate(block_leaf_charges):

@@ -688,6 +688,9 @@ def _coarse_from_full(problem: _Problem, word: BraidWord) -> tuple:
     Evaluates the word with composite generators on the fine basis, regroups
     both ends, and checks that every block-internal slice of a sector agrees
     (a composite exchange must not see internal trees); raises otherwise.
+    Each sector's run of a frame is a (coarse trees, internal trees) grid
+    (``GroupedBasis``); the output's internal axes are put back in input
+    block order, and every slice is read with one gather.
     The matrices come in ``problem.sectors`` order, as ``_replay``'s do.
     """
     model, target = problem.model, problem.target
@@ -700,33 +703,22 @@ def _coarse_from_full(problem: _Problem, word: BraidWord) -> tuple:
     Ug = t_out @ U @ t_in.conj().T
 
     perm = word.permutation()
+    back = [0] + [perm.index(b) + 1 for b in range(len(perm))]
+    block_leaves = grouping.block_charges(target.leaves)
     out = []
     for sector in problem.sectors:
-        coarse_in = enumerate_basis(model, sector, 0)
-        out_charges = tuple(sector[b] for b in perm)
-        coarse_out = enumerate_basis(model, out_charges, 0)
-        cols: dict[tuple, dict[tuple, int]] = {}
-        for i, label in enumerate(g_in.labels):
-            if label.block_charges == sector:
-                cols.setdefault(label.block_internals, {})[label.coarse] = i
-        rows: dict[tuple, dict[tuple, int]] = {}
-        for i, label in enumerate(g_out.labels):
-            if label.block_charges == out_charges:
-                permuted = tuple(label.block_internals[perm.index(b)]
-                                 for b in range(len(perm)))
-                rows.setdefault(permuted, {})[label.coarse] = i
-        matrix = None
-        for internals, col_map in cols.items():
-            row_map = rows[internals]
-            block = np.zeros((coarse_out.dim, coarse_in.dim), dtype=np.complex128)
-            for rj, tree_out in enumerate(coarse_out.trees):
-                for cj, tree_in in enumerate(coarse_in.trees):
-                    block[rj, cj] = Ug[row_map[tree_out.internals],
-                                       col_map[tree_in.internals]]
-            if matrix is None:
-                matrix = block
-            elif not np.allclose(matrix, block, atol=1e-10):
-                raise ConsistencyError(
-                    f"sector {sector}: braid action varies across internal trees")
-        out.append(matrix)
+        if sector not in g_in.sectors():
+            raise ConsistencyError(f"sector {sector} does not occur in the block system")
+        trees = [enumerate_basis(model, leaves, c).dim
+                 for leaves, c in zip(block_leaves, sector)]
+        cols = np.reshape(g_in.sectors()[sector], (-1, *trees))
+        rows = np.reshape(g_out.sectors()[tuple(sector[b] for b in perm)],
+                          (-1, *(trees[b] for b in perm))).transpose(back)
+        # (internal trees, coarse trees) index grids, one slice per tree
+        rows, cols = (grid.reshape(len(grid), -1).T for grid in (rows, cols))
+        blocks = Ug[rows[:, :, None], cols[:, None, :]]
+        if len(blocks) > 1 and not np.allclose(blocks[0], blocks[1:], atol=1e-10):
+            raise ConsistencyError(
+                f"sector {sector}: braid action varies across internal trees")
+        out.append(blocks[0])
     return tuple(out)

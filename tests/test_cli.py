@@ -264,6 +264,32 @@ def test_assemble_needs_all_components(capsys, tmp_path):
     assert code == 1
 
 
+def test_assemble_takes_exactly_the_gates_components(capsys, tmp_path):
+    """A gate takes one file per component it names, in any order; a
+    missing, extra, repeated or foreign component is a usage error."""
+    paths = {}
+    for name in ("B1", "P", "B3", "E"):
+        paths[name] = str(tmp_path / f"{name}.json")
+        run(capsys, "synth", "--k", "3", "--target", name, "--max-length", "4",
+            "--out", paths[name])
+    gates = {"cz": ["--gate", "cz"], "ccz": ["--gate", "ccz"],
+             "convert": ["--gate", "convert", "--direction", "merge"]}
+    for gate, names in [("cz", "P B1"), ("cz", "P P"), ("cz", "E"),
+                        ("ccz", "B1 P"), ("ccz", "B1 P P"), ("ccz", "B1 P B3 B3"),
+                        ("convert", "E P")]:
+        code, _, err = run(capsys, "assemble", *gates[gate],
+                           *(paths[name] for name in names.split()))
+        assert code == 1 and "takes one component each" in err, (gate, names)
+    reports = []
+    for order in ("B1 P B3", "B3 B1 P"):
+        out = tmp_path / f"ccz-{order.replace(' ', '-')}.json"
+        code, _, _ = run(capsys, "assemble", "--gate", "ccz",
+                         *(paths[name] for name in order.split()), "--out", str(out))
+        assert code in (0, 2)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_convert_needs_direction(capsys, tmp_path):
     component = tmp_path / "e.json"
     run(capsys, "synth", "--k", "3", "--target", "E", "--max-length", "4",

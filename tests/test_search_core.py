@@ -212,20 +212,24 @@ def _scalar_score(problem, state: tuple) -> float:
     return worst
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_batched_route_is_bit_exact(data):
-    """_vmul and _Problem.score equal the scalar route with float ==, on
-    random weave words and on random states, many nodes per batch, each
-    node multiplied by a letter of its own."""
-    problem = data.draw(_weave_problem())
-    words = data.draw(st.lists(_weave_word(problem), min_size=1, max_size=5))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="states"))
+def _signed_zero_states(problem, rng, count):
+    """Sector matrices of exact zeros with random signs: a sum whose every
+    term is -0.0 shows whether it started from 0.0j."""
+    return [tuple(tuple(complex(*z) for z in np.copysign(0.0, rng.normal(size=(n * n, 2))))
+                  for n in problem.dims)
+            for _ in range(count)]
+
+
+def _assert_batched_route(problem, words, rng):
+    """_vmul and _Problem.score equal the scalar route byte for byte (so
+    the sign of every zero too), on words, random states and signed
+    zeros, many nodes per batch, each node multiplied by a letter of its
+    own."""
     states = ([_flat(synth._replay(problem, word)) for word in words]
-              + _random_states(problem, rng, 200))
+              + _random_states(problem, rng, 200) + _signed_zero_states(problem, rng, 50))
     re, im = (np.array(part) for part in _rows(states))
-    assert problem.score(re, im).tolist() == [
-        _scalar_score(problem, state) for state in states]
+    assert problem.score(re, im).tobytes() == np.array(
+        [_scalar_score(problem, state) for state in states]).tobytes()
 
     # One more letter for every node, batched and scalar.
     letters = problem.all_moves()
@@ -237,9 +241,35 @@ def test_batched_route_is_bit_exact(data):
     states = [tuple(_flat_mul(g, M, n)
                     for g, M, n in zip(_flat(gens), state, problem.dims))
               for gens, state in zip(node_gens, states)]
-    assert (re.tolist(), im.tolist()) == _rows(states)
-    assert problem.score(re, im).tolist() == [
-        _scalar_score(problem, state) for state in states]
+    want_re, want_im = (np.array(part) for part in _rows(states))
+    assert (re.tobytes(), im.tobytes()) == (want_re.tobytes(), want_im.tobytes())
+    assert problem.score(re, im).tobytes() == np.array(
+        [_scalar_score(problem, state) for state in states]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batched_route_is_bit_exact(data):
+    """The batched route against the scalar one, on random weave words."""
+    problem = data.draw(_weave_problem())
+    words = data.draw(st.lists(_weave_word(problem), min_size=1, max_size=5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="states"))
+    _assert_batched_route(problem, words, rng)
+
+
+def test_batched_route_keeps_the_sign_of_zero_from_three_rows_on():
+    """Sums of three or more terms start from 0.0j in the scalar route;
+    at k=4 the (2, 2, 2, 2) sector has dimension 3."""
+    model = AnyonModel(4)
+    sector = (2, 2, 2, 2)
+    assert enumerate_basis(model, sector, 0).dim == 3
+    rules = (MatrixRule(sector, tuple(tuple(complex(i == j) for j in range(3))
+                                      for i in range(3))),
+             PhaseRule((1, 1, 0, 0), reference=1 + 0j))
+    problem = synth._Problem(model, SynthesisTarget(
+        name="T", k=4, leaves=(1, 1, 1, 1), blocks=((1,), (2,), (3,), (4,)),
+        mobile=1, span=(1, 4), final_arrangement=(0, 1, 2, 3), rules=rules))
+    _assert_batched_route(problem, [((1, 1), (2, -1))], np.random.default_rng(0))
 
 
 # --- children of a level ---------------------------------------------------

@@ -1,6 +1,7 @@
 """Fusion-tree bases, braid generators, and block regrouping."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from anyonforge import (
     regroup,
     swap_leaves,
 )
-from anyonforge.spaces import swap_blocks
+from anyonforge.spaces import _absorb, swap_blocks
 
 
 def assert_unitary(M, tol=1e-12):
@@ -258,6 +259,86 @@ def test_trivial_grouping_is_identity(model3):
     basis = enumerate_basis(model3, (1,) * 6, 0)
     _, U = regroup(model3, basis, Grouping.of_sizes(*[1] * 6))
     assert np.array_equal(U, np.eye(5))
+
+
+def _sorted_frame(model, basis, grouping):
+    """The regrouped frame as the sort-based construction built it: every
+    (block charges, block trees) choice, coarse sequences grown through
+    ``fuse``, then all labels sorted."""
+    block_leaves = grouping.block_charges(basis.leaves)
+    per_block = [sorted({(c, tree.internals) for c in range(model.k + 1)
+                         for tree in enumerate_basis(model, leaves, c).trees})
+                 for leaves in block_leaves]
+    labels = []
+    for choice in itertools.product(*per_block):
+        charges = tuple(c for c, _ in choice)
+        seqs = [(charges[0],)]
+        for c in charges[1:]:
+            seqs = [seq + (nxt,) for seq in seqs for nxt in model.fuse(seq[-1], c)]
+        labels += [GroupedLabel(charges, seq, tuple(t for _, t in choice))
+                   for seq in seqs if seq[-1] == basis.total]
+    labels.sort(key=lambda label: (label.block_charges, label.coarse,
+                                   label.block_internals))
+    fine = {tree.internals: i for i, tree in enumerate(basis.trees)}
+    matrix = np.zeros((len(labels), basis.dim), dtype=np.complex128)
+    for row, label in enumerate(labels):
+        parts = [_absorb(model, label.coarse[j - 1] if j else 0, leaves,
+                         label.block_internals[j], label.coarse[j]).items()
+                 for j, leaves in enumerate(block_leaves)]
+        for combo in itertools.product(*parts):
+            col = fine.get(tuple(c for segment, _ in combo for c in segment))
+            if col is None:
+                continue
+            amp = 1.0 + 0.0j
+            for _, coeff in combo:
+                amp *= coeff
+            matrix[row, col] += np.conj(amp)
+    return tuple(labels), matrix
+
+
+def _groupings(n):
+    """Every partition of n strands into contiguous blocks."""
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        sizes = [1]
+        for cut in cuts:
+            if cut:
+                sizes.append(1)
+            else:
+                sizes[-1] += 1
+        yield Grouping.of_sizes(*sizes)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+def test_regroup_emits_the_sorted_frame_sector_by_sector(k):
+    """Labels and transform bytes equal the sort-based construction, for
+    every grouping of 2-6 strands from {1, 2, 3}: every (leaves, total)
+    with a nonempty basis up to 3 strands, a fixed sample of 12, 6 and 3
+    at 4, 5 and 6 strands.  Each sector is one run of the frame."""
+    model = AnyonModel(k)
+    charges = [c for c in (1, 2, 3) if c <= k]
+    for n in range(2, 7):
+        bases = [basis for leaves in itertools.product(charges, repeat=n)
+                 for total in range(k + 1)
+                 if (basis := enumerate_basis(model, leaves, total)).dim]
+        for basis in bases if n <= 3 else random.Random(n).sample(bases, 24 >> n - 3):
+            for grouping in _groupings(n):
+                grouped, U = regroup(model, basis, grouping)
+                labels, want = _sorted_frame(model, basis, grouping)
+                assert grouped.labels == labels
+                assert U.tobytes() == want.tobytes()
+                for sector, run in grouped.sectors().items():
+                    assert run == tuple(range(run[0], run[0] + len(run)))
+                    assert {grouped.labels[i].block_charges for i in run} == {sector}
+
+
+def test_sectors_are_built_once_and_read_only(model3):
+    grouped, _ = regroup(model3, enumerate_basis(model3, (1,) * 6, 0),
+                         Grouping.of_sizes(2, 2, 2))
+    sectors = grouped.sectors()
+    assert grouped.sectors() is sectors
+    with pytest.raises(TypeError):
+        sectors[(0, 0, 0)] = ()
+    assert isinstance(sectors[(0, 0, 0)], tuple)
 
 
 def test_pair_composite_equals_coarse_r(model3):

@@ -29,12 +29,14 @@ from anyonforge import (
     make_target_P,
     make_target_unitary,
     multi_qubit_code,
+    regroup,
     score_braid,
     search,
     synth,
     verify_braid_relations,
+    write_braid_file,
 )
-from anyonforge import _frontier
+from anyonforge import _frontier, cli
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -470,6 +472,39 @@ def test_dual_route_check_sees_unscored_entries(model3, b1_word, monkeypatch):
     monkeypatch.setattr(synth, "_replay", nudged)
     with pytest.raises(ConsistencyError, match="disagree"):
         score_braid(model3, target, b1_word)
+
+
+def test_dual_route_check_sees_internal_trees(model3, monkeypatch, tmp_path, capsys):
+    """E's three-anyon blocks carry two internal trees each.  A phase on
+    one regrouped input vector, in a later internal slice of the ruled
+    sector, makes the braid act differently on that slice: ``score_braid``
+    raises and ``verify`` exits 2, though the slice the routes compare is
+    untouched."""
+    target = make_target_E(model3)
+    word = BraidWord(4, ((2, 1),))
+    path = tmp_path / "E.json"
+    write_braid_file(path, score_braid(model3, target, word))
+    grouped, frame = regroup(model3, enumerate_basis(model3, target.leaves, 0),
+                             target.grouping)
+    (rule,) = target.rules
+    run = grouped.sectors()[rule.sector]
+    labels = [grouped.labels[i] for i in run]
+    assert labels[-1].block_internals != labels[0].block_internals
+    twist = np.eye(grouped.dim, dtype=complex)
+    twist[run[-1], run[-1]] = 1j
+    tracked = synth.evaluate_tracked
+
+    def twisted(model, basis, word, grouping=None):
+        U, leaves, final_grouping = tracked(model, basis, word, grouping)
+        if basis.leaves == target.leaves:  # the full space, not a coarse one
+            U = U @ frame.conj().T @ twist @ frame
+        return U, leaves, final_grouping
+
+    monkeypatch.setattr(synth, "evaluate_tracked", twisted)
+    with pytest.raises(ConsistencyError, match="varies across internal trees"):
+        score_braid(model3, target, word)
+    assert cli.main(["verify", str(path)]) == 2
+    assert "varies across internal trees" in capsys.readouterr().err
 
 
 def test_score_braid_rejects_wrong_arrangement(model3):
