@@ -58,11 +58,12 @@ MAX_LEVEL = 72
 class ConsistencyError(Exception):
     """A number failed its independent check (exit code 2).
 
-    Raised by ``verify_pentagon`` and ``verify_hexagon`` when given a
-    tolerance that the residual exceeds; by ``score_braid`` and ``search``
-    when the tracked and full-space sector matrices disagree, or when a
-    braid's action varies across block-internal trees; and by the CLI
-    when a stored distance does not reproduce.
+    Raised by ``score_braid`` and ``search`` when the tracked and
+    full-space sector matrices disagree, or when a braid's action varies
+    across block-internal trees; and by the CLI when a stored distance
+    does not reproduce.  ``verify_pentagon`` and ``verify_hexagon`` only
+    return their residuals: ``check`` compares them with its tolerance and
+    exits 2 itself.
     """
 
 
@@ -87,8 +88,9 @@ class SymbolCache:
     Holds the memoized F and R symbols, the flat F and R tables the
     pentagon and hexagon checks read (``f_table``, ``r_table``: built once,
     on first use; building ``f_table`` evaluates every F block in one
-    batched pass and seeds ``f_symbols`` with each block not yet present,
-    so a damaged block is kept), the fusion bases built by ``spaces.enumerate_basis``,
+    batched pass and leaves ``f_symbols`` to ``AnyonModel.f_symbol``, but
+    takes every block already there, a damaged one among them), the fusion
+    bases built by ``spaces.enumerate_basis``,
     the exchange blocks and braid generators built from the symbols by
     ``spaces.braid_generator``, the regrouped frames built by
     ``spaces.regroup`` and the word steps of ``synth.evaluate_tracked``.
@@ -214,27 +216,27 @@ class _FTable:
     int16 index entries (``MAX_LEVEL`` keeps them within int32).
     """
 
-    def __init__(self, k: int, blocks: dict):
+    def __init__(self, k: int, at, size, e0, f0, entries, blocks: dict):
+        # Per block: its position (int64), size (square; at most k/2 + 1,
+        # so int16 products cannot wrap), first row and column channel
+        # (channels step by 2); then all entries, each block row-major.
+        # Each ``FMatrix`` of ``blocks`` then takes over its own entries.
         n = self.n = k + 1
-        # Per block: its position, first row and column channel, row and
-        # column counts.  Channels step by 2 from the first.
-        at, e0, f0, height, width = np.array(
-            [(self.at(*key), block.rows[0], block.cols[0], len(block.rows),
-              len(block.cols)) for key, block in blocks.items()],
-            dtype=np.int64).T
-        stride = width + 1
-        block, i = _runs(height)
-        starts = (n + 1 + np.cumsum(height * stride) - height * stride)[block] \
+        stride = size + 1
+        block, i = _runs(size)
+        starts = (n + 1 + np.cumsum(size * stride) - size * stride)[block] \
             + i * stride[block]
         self.rows = np.zeros(n ** 5, dtype=np.int32)
         self.rows[at[block] + e0[block] + 2 * i] = starts
         self.cols = np.zeros(n ** 5, dtype=np.int16)
-        block, j = _runs(width)
-        self.cols[at[block] + f0[block] + 2 * j] = j + 1
-        row, j = _runs(width[np.repeat(np.arange(len(at)), height)])
-        self.values = np.zeros(n + 1 + int(np.sum(height * stride)))
-        self.values[starts[row] + j + 1] = np.concatenate(
-            [block.matrix.ravel() for block in blocks.values()])
+        self.cols[at[block] + f0[block] + 2 * i] = i + 1
+        row, j = _runs(size[block])
+        self.values = np.zeros(n + 1 + int(np.sum(size * stride)))
+        self.values[starts[row] + j + 1] = entries
+        for key, known in blocks.items():
+            s = self.at(*key)
+            self.values[self.rows[s + np.array(known.rows)][:, None]
+                        + self.cols[s + np.array(known.cols)]] = known.matrix
         self.values.setflags(write=False)
 
     def at(self, a, b, c, d):
@@ -423,8 +425,9 @@ class AnyonModel:
         self.symbols = table
 
     def precompute(self) -> None:
-        """Build every F and R symbol of this level, and the flat tables
-        the consistency checks read, into the symbol table."""
+        """Build the flat F and R tables the consistency checks read into
+        the symbol table (every R symbol is memoized on the way; F blocks
+        stay with ``f_symbol``, which builds them on demand)."""
         self._f_table()
         self._r_table()
 
@@ -432,37 +435,26 @@ class AnyonModel:
         """The symbol table's flat F table, built on first use.
 
         Every block of the level is evaluated in one batched q-Racah pass
-        (``_f_entries``) and seeded into ``f_symbols`` as a read-only view,
-        except where that key is already present: a block damaged by
-        ``corrupt_f_symbol`` stays, and the flat table holds it.
+        (``_f_entries``); then each block already in ``f_symbols`` is
+        written over its own entries, so a block damaged by
+        ``corrupt_f_symbol`` is the one the table holds.  Nothing is
+        written to ``f_symbols``.
         """
         table = self.symbols.f_table
         if table is None:
             k, n = self.k, self.k + 1
-            cached = self.symbols.f_symbols
             N = _fusion_counts(k)
             # Rows e of block (a, b, c, d) run over fuse(a, b) and fuse(c, d),
             # columns f over fuse(b, c) and fuse(a, d); both counts are the
             # block's dimension.
-            height = np.einsum("abe,ecd->abcd", N, N).ravel()
-            blocks = {}
-            for keys, sizes in _batches(height, height):
-                labels = [v.astype(np.int32) for v in np.unravel_index(keys, (n,) * 4)]
-                a, b, c, d = labels
-                e0, _ = _span(k, (a, b), (c, d))
-                f0, _ = _span(k, (b, c), (a, d))
-                values = self._f_entries(*labels)
-                values.setflags(write=False)
-                start = 0
-                for key, e, f, size in zip(zip(*(v.tolist() for v in labels)), e0.tolist(),
-                                           f0.tolist(), sizes.tolist()):
-                    rows = tuple(range(e, e + 2 * size, 2))
-                    cols = tuple(range(f, f + 2 * size, 2))
-                    block = FMatrix(rows, cols,
-                                    values[start:start + size * size].reshape(size, size))
-                    blocks[key] = cached.setdefault(key, block)
-                    start += size * size
-            table = _FTable(k, blocks)
+            size = np.einsum("abe,ecd->abcd", N, N).ravel()
+            parts = []
+            for keys, sizes in _batches(size, size):
+                a, b, c, d = (v.astype(np.int32) for v in np.unravel_index(keys, (n,) * 4))
+                parts.append((keys.astype(np.int64) * n, sizes,
+                              _span(k, (a, b), (c, d))[0], _span(k, (b, c), (a, d))[0],
+                              self._f_entries(a, b, c, d)))
+            table = _FTable(k, *map(np.concatenate, zip(*parts)), self.symbols.f_symbols)
             self.symbols.f_table = table
         return table
 
@@ -517,15 +509,13 @@ class AnyonModel:
 
     # -- consistency checks -------------------------------------------------
 
-    def verify_pentagon(self, tolerance: float | None = None) -> float:
+    def verify_pentagon(self) -> float:
         """Max pentagon residual over all admissible label tuples.
 
         The identity checked, for four charges a, b, c, d with total t:
 
             F(x,c,d,t)[y,z] * F(a,b,z,t)[x,u]
               = sum_w F(a,b,c,y)[x,w] * F(a,w,d,t)[y,u] * F(b,c,d,u)[w,z]
-
-        If ``tolerance`` is given and exceeded, raises ConsistencyError.
         """
         F = self._f_table()
         k, n = self.k, self.k + 1
@@ -570,11 +560,9 @@ class AnyonModel:
                 rhs[on] += (F(abcy[on], x[on], w) * F(a0dt[on] + w * n2 * n, y[on], u[on])
                             * F(bcdu[on], w, z[on]))
             worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
-        if tolerance is not None and worst > tolerance:
-            raise ConsistencyError(f"pentagon residual {worst:.3e} > {tolerance:.3e}")
         return worst
 
-    def verify_hexagon(self, tolerance: float | None = None) -> float:
+    def verify_hexagon(self) -> float:
         """Max hexagon residual (both chiralities) over all label tuples.
 
         Checked for charges a, b braided with c, total d:
@@ -618,6 +606,4 @@ class AnyonModel:
                     rhs[on] += (F(cabd[on], e[on], f) * phase(R[cd[on] + f * n])
                                 * F(abcd[on], f, g[on]))
                 worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
-        if tolerance is not None and worst > tolerance:
-            raise ConsistencyError(f"hexagon residual {worst:.3e} > {tolerance:.3e}")
         return worst

@@ -483,12 +483,26 @@ class _Problem:
         self.final_arr = target.final_arrangement
         self.mobile = target.mobile - 1
         self.sectors = tuple(sorted({r.sector for r in target.rules}))
+        # Refuse, before any walk, a sector the block system cannot hold
+        # and a rule that does not fit its sector.
+        held = regroup(model, enumerate_basis(model, target.leaves, 0), target.grouping)[0]
+        for sector in self.sectors:
+            if sector not in held.sectors():
+                raise ValueError(f"sector {sector} does not occur in the block system")
         sector_pos = {s: i for i, s in enumerate(self.sectors)}
         self.dims = tuple(enumerate_basis(model, s, 0).dim for s in self.sectors)
         # First row of each sector's entries.
         self.offsets = tuple(sum(d * d for d in self.dims[:i])
                              for i in range(len(self.dims)))
         self.rules = tuple((rule, sector_pos[rule.sector]) for rule in target.rules)
+        for rule, si in self.rules:
+            n = self.dims[si]
+            if not (n == 1 if isinstance(rule, PhaseRule)
+                    else 0 <= rule.input_index < n == len(rule.target)
+                    if isinstance(rule, ColumnRule)
+                    else [len(row) for row in rule.target] == [n] * n):
+                raise ValueError(f"{type(rule).__name__} does not fit sector "
+                                 f"{rule.sector} of dimension {n}")
 
     def moves(self, pos: int):
         """Canonical-order letters available to the mobile block at ``pos``."""
@@ -619,6 +633,7 @@ def search(model: AnyonModel, target: SynthesisTarget, max_length: int,
         raise ValueError("tolerance must be a positive number")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    _Problem(model, target)  # refuses a rule that does not fit, before any walk
     # Loaded on the first search, so commands that run none skip it.
     from ._frontier import worker_job
 
@@ -707,8 +722,6 @@ def _coarse_from_full(problem: _Problem, word: BraidWord) -> tuple:
     block_leaves = grouping.block_charges(target.leaves)
     out = []
     for sector in problem.sectors:
-        if sector not in g_in.sectors():
-            raise ConsistencyError(f"sector {sector} does not occur in the block system")
         trees = [enumerate_basis(model, leaves, c).dim
                  for leaves, c in zip(block_leaves, sector)]
         cols = np.reshape(g_in.sectors()[sector], (-1, *trees))

@@ -1,5 +1,6 @@
 """The batched search core: pinned results, bit-exact arithmetic, dedup keys."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -78,13 +79,26 @@ def test_dedup_survives_key_mix_collisions(model3, monkeypatch):
 
 # --- bit-exact batched arithmetic ------------------------------------------
 
-def _sectors_by_dim(model):
+def _sectors_by_dim(model, parity):
+    """The four-block sectors whose block charges have these parities, by
+    the dimension of their coarse basis."""
     out = {}
     for sector in np.ndindex(*([model.k + 1] * 4)):
         dim = enumerate_basis(model, sector, 0).dim
-        if dim:
+        if dim and all(c % 2 == p for c, p in zip(sector, parity)):
             out.setdefault(dim, []).append(tuple(sector))
     return out
+
+
+def _pair_target(model, parity, rules):
+    """Four blocks of two leaves each that hold every sector of these
+    parities: with h = k // 2, a block (h, h) carries every even charge and
+    a block (h, h + 1) every odd one."""
+    h = model.k // 2
+    return SynthesisTarget(
+        name="T", k=model.k, leaves=tuple(c for p in parity for c in (h, h + p)),
+        blocks=((1, 2), (3, 4), (5, 6), (7, 8)), mobile=1, span=(1, 4),
+        final_arrangement=(0, 1, 2, 3), rules=tuple(rules))
 
 
 def _unit_vector(rng, n):
@@ -101,13 +115,18 @@ def _unitary(rng, n):
 def _weave_problem(draw):
     """A four-block weave target with one to three random rules: phase
     rules on one-dimensional sectors, column rules with and without an
-    exact value, and matrix rules, on sectors of any dimension."""
+    exact value, and matrix rules, on sectors of any dimension (of one
+    parity pattern, so that one block system holds them all)."""
     model = AnyonModel(draw(st.integers(2, 7), label="k"))
-    by_dim = _sectors_by_dim(model)
+    parity = draw(st.sampled_from([p for p in itertools.product((0, 1), repeat=4)
+                                   if sum(p) % 2 == 0]), label="parity")
+    by_dim = _sectors_by_dim(model, parity)
+    kinds = ["phase", "column", "exact", "matrix"] if 1 in by_dim \
+        else ["column", "exact", "matrix"]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     rules = []
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["phase", "column", "exact", "matrix"]))
+        kind = draw(st.sampled_from(kinds))
         dim = 1 if kind == "phase" else draw(st.sampled_from(sorted(by_dim)), label="dim")
         sector = draw(st.sampled_from(by_dim[dim]))
         if kind == "phase":
@@ -120,11 +139,7 @@ def _weave_problem(draw):
             rules.append(ColumnRule(sector, int(rng.integers(dim)),
                                     tuple(complex(z) for z in _unit_vector(rng, dim)),
                                     exact_value=exact))
-    target = SynthesisTarget(
-        name="T", k=model.k, leaves=(1, 1, 1, 1),
-        blocks=((1,), (2,), (3,), (4,)), mobile=1, span=(1, 4),
-        final_arrangement=(0, 1, 2, 3), rules=tuple(rules))
-    return synth._Problem(model, target)
+    return synth._Problem(model, _pair_target(model, parity, rules))
 
 
 @st.composite
@@ -265,10 +280,8 @@ def test_batched_route_keeps_the_sign_of_zero_from_three_rows_on():
     assert enumerate_basis(model, sector, 0).dim == 3
     rules = (MatrixRule(sector, tuple(tuple(complex(i == j) for j in range(3))
                                       for i in range(3))),
-             PhaseRule((1, 1, 0, 0), reference=1 + 0j))
-    problem = synth._Problem(model, SynthesisTarget(
-        name="T", k=4, leaves=(1, 1, 1, 1), blocks=((1,), (2,), (3,), (4,)),
-        mobile=1, span=(1, 4), final_arrangement=(0, 1, 2, 3), rules=rules))
+             PhaseRule((2, 2, 0, 0), reference=1 + 0j))
+    problem = synth._Problem(model, _pair_target(model, (0, 0, 0, 0), rules))
     _assert_batched_route(problem, [((1, 1), (2, -1))], np.random.default_rng(0))
 
 

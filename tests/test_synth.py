@@ -18,6 +18,7 @@ from anyonforge import (
     Grouping,
     MatrixRule,
     PhaseRule,
+    SynthesisTarget,
     distance,
     enumerate_basis,
     evaluate,
@@ -302,6 +303,41 @@ def test_search_config_tolerances(model3, monkeypatch):
             search(model3, target, 1, tolerance=bad)
     with pytest.raises(ValueError, match="max_length must be at least 1"):
         search(model3, target, 0)
+
+
+def test_rules_that_do_not_fit_are_refused_before_any_walk(monkeypatch):
+    """A sector that is not one reachable charge per block, one that does
+    not fuse to the vacuum, and a rule whose shape does not match its
+    sector's dimension are usage errors of ``search`` and ``score_braid``,
+    raised before either route evaluates a word."""
+    def refuse(*args):
+        raise AssertionError("a word was evaluated")
+
+    monkeypatch.setattr(_frontier, "worker_job", refuse)
+    monkeypatch.setattr(synth, "_replay", refuse)
+    monkeypatch.setattr(synth, "_coarse_from_full", refuse)
+    model = AnyonModel(4)
+    singletons = dict(name="T", k=4, blocks=((1,), (2,), (3,), (4,)), mobile=1,
+                      span=(1, 4), final_arrangement=(0, 1, 2, 3))
+    two = (1, 1, 1, 1)  # a two-dimensional sector of four spin-1/2 leaves
+    cases = [
+        ((1, 1, 1, 1), PhaseRule((0, 0, 0, 0)), "does not occur in the block system"),
+        ((1, 1, 1, 1), PhaseRule((1, 1, 1)), "does not occur in the block system"),
+        ((1, 1, 1, 2), PhaseRule((1, 1, 1, 2)), "does not occur in the block system"),
+        ((1, 1, 1, 1), PhaseRule(two), "PhaseRule does not fit"),
+        ((1, 1, 1, 1), ColumnRule(two, 2, (1, 0)), "ColumnRule does not fit"),
+        ((1, 1, 1, 1), ColumnRule(two, -1, (1, 0)), "ColumnRule does not fit"),
+        ((1, 1, 1, 1), ColumnRule(two, 0, (1, 0, 0)), "ColumnRule does not fit"),
+        ((1, 1, 1, 1), MatrixRule(two, ((1, 0),)), "MatrixRule does not fit"),
+        ((1, 1, 1, 1), MatrixRule(two, ((1, 0, 0), (0, 1, 0))), "MatrixRule does not fit"),
+    ]
+    word = BraidWord(4, ((1, 1), (1, 1)))
+    for leaves, rule, message in cases:
+        target = SynthesisTarget(leaves=leaves, rules=(rule,), **singletons)
+        with pytest.raises(ValueError, match=message):
+            search(model, target, 4)
+        with pytest.raises(ValueError, match=message):
+            score_braid(model, target, word)
 
 
 def test_search_rejects_mismatched_model(model2, model3):
