@@ -19,6 +19,12 @@ float64 ufuncs in the order of complex scalar arithmetic, so its products
 equal the scalar ones bit for bit (``test_search_core`` keeps the scalar
 route as the oracle); complex ufuncs and ``matmul`` do not.
 
+Dedup (``_Level.first_per_key``) keeps the first node per subtree,
+arrangement and state rounded to 12 digits.  Each entry's 12-digit value
+becomes an exact int64 key (``_keys12``); the nodes are sorted by a hash
+of their keys, and full keys are compared only where two hashes agree, so
+the kept nodes do not depend on how the sort orders equal hashes.
+
 ``worker_job`` cuts the forest at ``_PREFIX_DEPTH``: ``_Walk.descend`` walks
 the stub (the shorter words) in worker 0 and each prefix's subtree.
 """
@@ -46,19 +52,20 @@ def _vmul(gens: tuple, dims: tuple, re: np.ndarray, im: np.ndarray):
         mi = im[start:stop].reshape(n, n, -1)
         acc_r = out_re[start:stop].reshape(n, n, -1)
         acc_i = out_im[start:stop].reshape(n, n, -1)
+        part, term = np.empty((2, *acc_r.shape))
         for t in range(n):
             a, b = gr[:, t, None], gi[:, t, None]   # G[i, t]
             xr, xi = mr[t], mi[t]                   # M[t, j]
             # G[i, t] * M[t, j] is (a*xr - b*xi) + (a*xi + b*xr)j; the first
             # term is formed in the sum, each later one whole, then added.
-            part = np.multiply(a, xr, out=None if t else acc_r)
-            part -= b * xi
+            real = np.multiply(a, xr, out=part if t else acc_r)
+            real -= np.multiply(b, xi, out=term)
             if t:
-                acc_r += part
-            part = np.multiply(a, xi, out=None if t else acc_i)
-            part += b * xr
+                acc_r += real
+            imag = np.multiply(a, xi, out=part if t else acc_i)
+            imag += np.multiply(b, xr, out=term)
             if t:
-                acc_i += part
+                acc_i += imag
             elif n >= 3:  # from three rows on, the sum starts at 0.0j
                 acc_r += 0.0
                 acc_i += 0.0
@@ -66,19 +73,36 @@ def _vmul(gens: tuple, dims: tuple, re: np.ndarray, im: np.ndarray):
     return out_re, out_im
 
 
-def _round12(x: np.ndarray) -> np.ndarray:
-    """``round(v, 12)`` of every entry, with -0.0 read as 0.0.
+def _keys12(x: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out`` an int64 key per entry of ``x`` that is equal for
+    two entries exactly when ``round(v, 12)`` is (-0.0 reads as 0.0).
 
-    ``rint(v * 1e12) / 1e12`` is Python's result unless ``v * 1e12`` lies
-    near a half step, where the rounded product may tip either way, or
-    beyond 2**40; those few entries are redone with ``round``.
+    The key is the integer m whose nearest double to m / 1e12 is
+    ``round(v, 12)``: ``rint(v * 1e12)``, unless ``v * 1e12`` lies within
+    1e-3 of a half step, where the rounded product may tip either way.
+    Those few entries, and any not finite or beyond 2**40, are redone with
+    ``round``.  An entry whose m is beyond 2**40, or that is not finite, is
+    keyed by the int64 bits of ``round(v, 12)`` instead; those bits lie
+    outside +-2**40, so they equal no integer key.  The bound applies to m,
+    not to ``v * 1e12``, so one value of ``round(v, 12)`` never gets a key
+    of each kind.
     """
     y = x * 1e12
-    out = np.rint(y) / 1e12
-    redo = (np.abs(y - np.floor(y) - 0.5) < 1e-3) | ~(np.abs(y) < 2.0 ** 40)
-    if redo.any():
-        out[redo] = [round(v, 12) for v in x[redo].tolist()]
-    return out + 0.0
+    m = np.rint(y)
+    y -= m
+    redo = np.abs(y, out=y) > 0.499
+    if not (m.min(initial=0.0) >= -2.0 ** 40 and m.max(initial=0.0) <= 2.0 ** 40):
+        redo |= ~(np.abs(m) <= 2.0 ** 40)  # also true where m is not finite
+    redo = np.flatnonzero(redo)
+    if not len(redo):
+        out[...] = m
+        return
+    r = np.array([round(v, 12) for v in x.flat[redo].tolist()]) + 0.0
+    n = np.rint(r * 1e12)
+    wide = ~(np.abs(n) <= 2.0 ** 40)
+    m.flat[redo] = np.where(wide, 0.0, n)
+    out[...] = m
+    out.flat[redo[wide]] = r[wide].view(np.int64)
 
 
 class _Level:
@@ -106,36 +130,42 @@ class _Level:
 
     def first_per_key(self) -> np.ndarray:
         """Indices, in order, of the first node per (subtree, arrangement,
-        state rounded to 12 digits): the nodes a seen set lets through."""
-        keys = [self.tree.astype(np.int64), self.arr.astype(np.int64)]
-        keys += [*_round12(self.re).view(np.int64), *_round12(self.im).view(np.int64)]
+        state rounded to 12 digits): the nodes a seen set lets through.
 
-        def starts(order):
-            new = np.zeros(len(order), dtype=bool)
-            new[:1] = True
-            for key in keys:
-                ordered = key[order]
-                new[1:] |= ordered[1:] != ordered[:-1]
-            return new
-
-        # Sort by a 64-bit mix of each key (stable, so equal keys keep node
-        # order); if two different keys share a mix, sort by the keys.
-        mix = np.zeros(len(self), dtype=np.uint64)
-        for key in keys:
-            mix ^= key.view(np.uint64)
-            mix *= _MIX
-            mix ^= mix >> np.uint64(32)
-        order = np.argsort(mix, kind="stable")
-        new = starts(order)
-        mixed = mix[order]
-        if (new[1:] & (mixed[1:] == mixed[:-1])).any():
+        A node's key is its subtree, arrangement and the ``_keys12`` key of
+        every entry.  The nodes are sorted by a 64-bit hash of their keys,
+        and each run of equal hashes keeps its smallest index, whatever the
+        order within the run.  Where a hash equals its predecessor's but
+        the key does not, the keys themselves are sorted instead.
+        """
+        entries = len(self.re)
+        keys = np.empty((2 + 2 * entries, len(self)), dtype=np.int64)
+        keys[0], keys[1] = self.tree, self.arr
+        _keys12(self.re, keys[2:2 + entries])
+        _keys12(self.im, keys[2 + entries:])
+        # The hash: a wrapping sum of the key rows times odd weights, the
+        # powers of _HASH.
+        weights = np.multiply.accumulate(np.full(len(keys), _HASH))
+        hashes = (keys.view(np.uint64) * weights[:, None]).sum(axis=0)
+        order = np.argsort(hashes)
+        hashes = hashes[order]
+        new = np.ones(len(self), dtype=bool)
+        np.not_equal(hashes[1:], hashes[:-1], out=new[1:])
+        repeat = np.flatnonzero(~new)
+        if not len(repeat):
+            return np.arange(len(self))
+        if (keys[:, order[repeat]] != keys[:, order[repeat - 1]]).any():
+            # Two keys share a hash: sort by the keys (lexsort is stable, so
+            # each run of equal keys starts with its smallest index).
             order = np.lexsort(keys)
-            new = starts(order)
-        return np.sort(order[new])
+            ordered = keys[:, order]
+            new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+            return np.sort(order[new])
+        return np.sort(np.minimum.reduceat(order, np.flatnonzero(new)))
 
 
-# Odd multiplier of the dedup key mix (2**64 / golden ratio).
-_MIX = np.uint64(0x9E3779B97F4A7C15)
+# Odd base of the dedup hash's weights (2**64 / golden ratio).
+_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 # Children a batch of subtrees may have at one depth before the walk splits
 # it; bounds the walk's memory: the tracemalloc peak of a one-worker NOT

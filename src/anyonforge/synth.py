@@ -620,10 +620,11 @@ def search(model: AnyonModel, target: SynthesisTarget, max_length: int,
 
     Deterministic regardless of worker count: worker 0 walks the short
     words (the stub) with ``_Walk.descend``, the prefixes at a fixed depth
-    are dealt round-robin to ``min(workers, os.cpu_count())`` shares, one
-    per process (in this process when that is one), and results merge by
-    (score, length, letter sequence).  The best word is re-verified on the
-    full fusion space; it converged if its distance is <= ``tolerance``.
+    are dealt round-robin to ``min(workers, os.cpu_count())`` shares (share
+    0 in this process, each other one in a process of its own), and
+    results merge by (score, length, letter sequence).  The best word is
+    re-verified on the full fusion space; it converged if its distance is
+    <= ``tolerance``.
     """
     if model.k != target.k:
         raise ValueError(f"model k={model.k} does not match target k={target.k}")
@@ -643,8 +644,10 @@ def search(model: AnyonModel, target: SynthesisTarget, max_length: int,
     if shares == 1:
         outcomes = [job(0)]
     else:
-        with ProcessPoolExecutor(max_workers=shares) as pool:
-            outcomes = list(pool.map(job, range(shares)))
+        # map hands the pool its shares before share 0 runs here.
+        with ProcessPoolExecutor(max_workers=shares - 1) as pool:
+            others = pool.map(job, range(1, shares))
+            outcomes = [job(0), *others]
     bests = [best for best, _ in outcomes if best is not None]
     if not bests:
         raise RuntimeError("no candidate word reached the final arrangement")

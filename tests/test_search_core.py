@@ -66,12 +66,12 @@ def test_wall_time_and_busy_time(model3):
 
 
 def test_dedup_survives_key_mix_collisions(model3, monkeypatch):
-    """With every key mixed to the same value, dedup sorts by the keys
-    themselves and still passes the same nodes."""
+    """With every hash weight 0, every key hashes to the same value: dedup
+    sorts by the keys themselves and still passes the same nodes."""
     target = make_target_P(model3)
     length = 9
     plain = search(model3, target, length)
-    monkeypatch.setattr(_frontier, "_MIX", np.uint64(0))
+    monkeypatch.setattr(_frontier, "_HASH", np.uint64(0))
     collided = search(model3, target, length)
     assert collided.braid == plain.braid
     assert [row[:4] for row in collided.stats.rows] == [row[:4] for row in plain.stats.rows]
@@ -390,7 +390,7 @@ def test_search_working_memory_is_bounded():
     assert peak < 4e6
 
 
-# --- dedup key rounding ----------------------------------------------------
+# --- dedup ---------------------------------------------------------------
 
 def _walk_ulps(x: float, steps: int) -> float:
     for _ in range(abs(steps)):
@@ -398,18 +398,154 @@ def _walk_ulps(x: float, steps: int) -> float:
     return x
 
 
+def _keys12(values) -> np.ndarray:
+    x = np.array(values, dtype=float)
+    out = np.empty(x.shape, dtype=np.int64)
+    _frontier._keys12(x, out)
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-10 ** 12, 10 ** 12), st.integers(-4, 4))
 def test_key_rounding_matches_round_near_half_steps(n, steps):
     x = _walk_ulps((n + 0.5) * 1e-12, steps)
-    got = float(_frontier._round12(np.array([x]))[0])
-    assert got == round(x, 12)
+    m = int(_keys12([x])[0])
+    assert m / 1e12 == round(x, 12)
 
 
 def test_key_rounding_batch_and_negative_zero():
     values = [_walk_ulps((n + 0.5) * 1e-12, s)
               for n in range(-300, 300, 7) for s in (-3, -1, 0, 1, 3)]
     values += [-0.0, 0.0, -1e-13, -4e-13, 1.0, -1.0, 0.7071067811865476]
-    got = _frontier._round12(np.array(values)).tolist()
-    assert got == [round(v, 12) for v in values]
-    assert all(math.copysign(1.0, v) == 1.0 for v in got if v == 0.0)
+    keys = _keys12(values).tolist()
+    assert [m / 1e12 for m in keys] == [round(v, 12) for v in values]
+    assert _keys12([[-0.0, 0.0], [-1e-13, 1e-13]]).tolist() == [[0, 0], [0, 0]]
+
+
+# The dedup that first_per_key replaced, kept as its oracle: every entry
+# rounded to a float with round(v, 12), a 64-bit mix of the keys sorted
+# stably, and a lexsort of the keys where two keys share a mix.
+
+def _round12(x: np.ndarray) -> np.ndarray:
+    y = x * 1e12
+    out = np.rint(y) / 1e12
+    redo = (np.abs(y - np.floor(y) - 0.5) < 1e-3) | ~(np.abs(y) < 2.0 ** 40)
+    if redo.any():
+        out[redo] = [round(v, 12) for v in x[redo].tolist()]
+    return out + 0.0
+
+
+def _first_per_key_oracle(level) -> np.ndarray:
+    keys = [level.tree.astype(np.int64), level.arr.astype(np.int64)]
+    keys += [*_round12(level.re).view(np.int64), *_round12(level.im).view(np.int64)]
+
+    def starts(order):
+        new = np.zeros(len(order), dtype=bool)
+        new[:1] = True
+        for key in keys:
+            ordered = key[order]
+            new[1:] |= ordered[1:] != ordered[:-1]
+        return new
+
+    mix = np.zeros(len(level), dtype=np.uint64)
+    for key in keys:
+        mix ^= key.view(np.uint64)
+        mix *= np.uint64(0x9E3779B97F4A7C15)
+        mix ^= mix >> np.uint64(32)
+    order = np.argsort(mix, kind="stable")
+    new = starts(order)
+    mixed = mix[order]
+    if (new[1:] & (mixed[1:] == mixed[:-1])).any():
+        order = np.lexsort(keys)
+        new = starts(order)
+    return np.sort(order[new])
+
+
+def _synthetic_level(rng, values, nodes=400) -> "_frontier._Level":
+    """Nodes of two subtrees and three arrangements whose eight entries
+    (one 2x2 sector) each take one of three of ``values``, so that equal
+    states recur within and across subtrees and arrangements."""
+    pools = [rng.choice(np.array(values), size=3) for _ in range(8)]
+    state = np.array([rng.choice(pool, size=nodes) for pool in pools])
+    index = np.zeros(nodes, dtype=np.int32)
+    return _frontier._Level(rng.integers(3, size=nodes).astype(np.int32), index,
+                            index, rng.integers(2, size=nodes).astype(np.int32),
+                            state[:4], state[4:])
+
+
+_SYNTHETIC_VALUES = {
+    # within a few ulps of half steps of 1e-12
+    "half-steps": [_walk_ulps((n + 0.5) * 1e-12, s)
+                   for n in (-3, 0, 2, 10 ** 6) for s in range(-3, 4)],
+    # signed zeros and what rounds to them
+    "zeros": [-0.0, 0.0, -1e-13, 4e-13, 1e-12, -1e-12],
+    # beyond 2**40 / 1e12 and, as a 12-digit key, the same digits near 0
+    "wide": [1.1, math.nextafter(1.1, 2.0), -1.1, 2.0, 2e-12, 1e6, 1e6 + 1e-10],
+    # v * 1e12 on both sides of 2**40
+    "edge": [(2 ** 40 + d) / 1e12 for d in (-1, -0.75, -0.5, -0.25, 0, 0.25, 0.5, 1)],
+    "not finite": [math.inf, -math.inf, math.nan, 1.0, -0.0],
+}
+
+
+_ARGSORT = np.argsort
+
+
+def _argsort_reversing_runs(a, *args, **kwargs):
+    """A sort that returns each run of equal values in falling index order."""
+    order = _ARGSORT(a, kind="stable")
+    ordered = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    run = np.cumsum(new)
+    return order[np.lexsort((-np.arange(len(a)), run))]
+
+
+def _kept_as_by_the_oracle(level, monkeypatch,
+                           first_per_key=_frontier._Level.first_per_key) -> int:
+    """Assert that ``first_per_key`` keeps the oracle's nodes with the
+    default sort, with each run of equal hashes reversed, and with every
+    hash equal; return how many nodes it drops."""
+    want = _first_per_key_oracle(level).tolist()
+    for patches in ([], [(np, "argsort", _argsort_reversing_runs)],
+                    [(_frontier, "_HASH", np.uint64(0))]):
+        with monkeypatch.context() as patch:
+            for obj, name, value in patches:
+                patch.setattr(obj, name, value)
+            assert first_per_key(level).tolist() == want
+    return len(level) - len(want)
+
+
+@pytest.mark.parametrize("k, length", [(3, 16), (5, 20)])
+@pytest.mark.parametrize("name", ["P", "E", "NOT"])
+def test_first_per_key_matches_the_old_dedup_on_search_levels(k, length, name, monkeypatch):
+    """Every level a search dedups, from the depth where states first
+    recur."""
+    model = AnyonModel(k)
+    dropped = []
+
+    def checked(level):
+        dropped.append(_kept_as_by_the_oracle(level, monkeypatch))
+        return _first_per_key_oracle(level)
+
+    monkeypatch.setattr(_frontier._Level, "first_per_key", checked)
+    search(model, _target(model, name), length)
+    assert sum(dropped) > 0
+
+
+@pytest.mark.parametrize("group", list(_SYNTHETIC_VALUES))
+def test_first_per_key_matches_the_old_dedup_on_edge_values(group, monkeypatch):
+    """Entries near half steps, signed zeros, entries past 2**40 / 1e12 and
+    non-finite ones, with equal states in different subtrees and
+    arrangements; also a level of one node and an empty one."""
+    rng = np.random.default_rng(sorted(_SYNTHETIC_VALUES).index(group))
+    levels = [_synthetic_level(rng, _SYNTHETIC_VALUES[group]) for _ in range(3)]
+    levels += [_synthetic_level(rng, _SYNTHETIC_VALUES[group], nodes=n) for n in (0, 1)]
+    with np.errstate(invalid="ignore"):  # inf - inf in both key routes
+        dropped = [_kept_as_by_the_oracle(level, monkeypatch) for level in levels]
+        kept = _first_per_key_oracle(levels[0])
+        state = np.concatenate((_round12(levels[0].re), _round12(levels[0].im)))
+    assert dropped[0] > 0
+    # Some kept nodes share a state: they differ in subtree or arrangement.
+    assert len({state[:, i].tobytes() for i in kept}) < len(kept)
+
+

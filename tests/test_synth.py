@@ -406,7 +406,7 @@ def test_worker_pool_is_capped_at_cpu_count(model3, monkeypatch, inline_pool):
     assert sizes == mapped == []
     for workers, size in ((2, 2), (64, 3)):
         many = search(model3, target, length, workers=workers)
-        assert sizes.pop() == mapped.pop() == size
+        assert sizes.pop() == mapped.pop() == size - 1  # share 0 runs here
         assert many.braid == one.braid
         assert repr(many.distance) == repr(one.distance)
         assert _strip(many.stats.rows) == _strip(one.stats.rows)
@@ -448,7 +448,7 @@ def test_shares_without_prefixes(model3, monkeypatch, inline_pool, name):
         one = search(model3, target, length)
         assert one.stats.rows[3][3] == 18
         many = search(model3, target, length, workers=40)
-        assert sizes.pop() == 40
+        assert sizes.pop() == 39
         assert many.braid == one.braid, length
         assert repr(many.distance) == repr(one.distance), length
         assert _strip(many.stats.rows) == _strip(one.stats.rows), length
