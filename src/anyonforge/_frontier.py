@@ -326,6 +326,10 @@ def worker_job(k: int, target: SynthesisTarget, max_length: int,
     at a depth do not depend on the length limit, so the curve row for
     length L counts the visits at depths <= L, and counts and results are
     identical for any worker count.
+
+    Returns the share's raw tallies for ``search`` to merge: its best
+    (score, letters) by ``_rank`` or None, then per depth 0..``max_length``
+    the nodes visited, the best score and the busy seconds.
     """
     model = AnyonModel(k)
     problem = _Problem(model, target)
@@ -350,12 +354,4 @@ def worker_job(k: int, target: SynthesisTarget, max_length: int,
     walk.tally(prefix_depth, len(level), walk.winner(level), t0)
     walk.keep(prefix_depth, level)
     walk.descend(level, prefix_depth, max_length)
-
-    rows = []
-    nodes = 0
-    best = walk.scores[0]  # the empty word's
-    for depth in range(1, max_length + 1):
-        nodes += walk.visited[depth]
-        best = min(best, walk.scores[depth])
-        rows.append((depth, best, nodes, walk.visited[depth], walk.seconds[depth]))
-    return walk.best, rows
+    return walk.best, walk.visited, walk.scores, walk.seconds

@@ -100,8 +100,7 @@ def _expect_two_qubit_component(result: SynthesisResult, model: AnyonModel,
 def _logical(code: CodeSpace, U_fine: np.ndarray):
     grouped = code.to_code_frame(U_fine)
     logical = code.logical_block(grouped)
-    report = code_leakage(grouped, code)
-    return logical, report.leakage_norm
+    return logical, code_leakage(grouped, code)
 
 
 def _finish_report(gate: str, model: AnyonModel, logical: np.ndarray,

@@ -9,7 +9,8 @@ in the space is non-computational; braids that populate it leak.
 
 Code spaces are expressed in the block-regrouped basis (pairs as blocks) so
 that the computational states are basis vectors; ``transform`` carries fine
-tree amplitudes into this frame.
+tree amplitudes into this frame.  ``leakage`` returns one float: the
+operator 2-norm of what a grouped-frame operator carries out of the code.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .spaces import FusionBasis, GroupedBasis, Grouping, enumerate_basis, regrou
 __all__ = [
     "EncodingError",
     "CodeSpace",
-    "LeakageReport",
     "single_qubit_code",
     "multi_qubit_code",
     "leakage",
@@ -66,18 +66,6 @@ class CodeSpace:
     def computational_indices(self) -> tuple[int, ...]:
         return tuple(idx for _, idx in self.computational)
 
-    def bits_of_index(self, index: int) -> tuple[int, ...]:
-        for bits, idx in self.computational:
-            if idx == index:
-                return bits
-        raise KeyError(f"grouped index {index} is not computational")
-
-    def computational_projector(self) -> np.ndarray:
-        proj = np.zeros((self.dim, self.dim))
-        for _, idx in self.computational:
-            proj[idx, idx] = 1.0
-        return proj
-
     def to_code_frame(self, fine_matrix: np.ndarray) -> np.ndarray:
         """Conjugate an operator on the fine basis into the grouped frame."""
         return self.transform @ fine_matrix @ self.transform.conj().T
@@ -93,14 +81,6 @@ class CodeSpace:
         """Restriction of a grouped-frame operator to computational states."""
         idx = list(self.computational_indices)
         return code_frame_matrix[np.ix_(idx, idx)]
-
-
-@dataclass(frozen=True)
-class LeakageReport:
-    """How far an operator strays from the computational subspace."""
-
-    leakage_norm: float
-    worst_input: tuple[int, ...]
 
 
 def _build_code(model: AnyonModel, a: int, b: int, n: int) -> CodeSpace:
@@ -161,23 +141,15 @@ def multi_qubit_code(model: AnyonModel, n: int,
     return _build_code(model, model.check_charge(a), model.check_charge(b), n)
 
 
-def leakage(U: np.ndarray, code: CodeSpace) -> LeakageReport:
-    """Leakage of a grouped-frame operator out of the computational space.
-
-    leakage_norm is the operator 2-norm of (1 - P) U P with P the
-    computational projector; worst_input is the computational basis state
-    with the largest leaked column.
-    """
+def leakage(U: np.ndarray, code: CodeSpace) -> float:
+    """Leakage of a grouped-frame operator out of the computational space:
+    the operator 2-norm of (1 - P) U P, with P the projector onto the
+    computational states (0.0 when every state is computational)."""
     U = np.asarray(U)
     if U.shape != (code.dim, code.dim):
         raise ValueError(f"operator shape {U.shape} does not match code dim {code.dim}")
     comp = list(code.computational_indices)
     rest = list(code.non_computational)
     if not rest:
-        return LeakageReport(0.0, code.computational[0][0])
-    off = U[np.ix_(rest, comp)]
-    norm = float(np.linalg.norm(off, 2))
-    col_norms = np.linalg.norm(off, axis=0)
-    worst_col = int(np.argmax(col_norms))
-    worst_bits = code.computational[worst_col][0]
-    return LeakageReport(norm, worst_bits)
+        return 0.0
+    return float(np.linalg.norm(U[np.ix_(rest, comp)], 2))

@@ -183,9 +183,9 @@ def target_from_payload(model: AnyonModel, payload: dict) -> SynthesisTarget:
     if len(leaves) < 2:
         raise ValueError("stored leaves hold no code")
     charges = (leaves[0], leaves[1])
-    if name in BUILTIN_TARGETS:
-        target = BUILTIN_TARGETS[name](model, charges)
-    elif "target_matrix" in payload:
+    # The stored data decides: a payload with a matrix is a matrix target
+    # whatever its name (a unitary target may be named "E" or "B1").
+    if "target_matrix" in payload:
         coarse = np.array([[complex(re, im) for re, im in row]
                            for row in payload["target_matrix"]])
         # Rebuild the rule from the stored entries verbatim: full-precision
@@ -202,6 +202,8 @@ def target_from_payload(model: AnyonModel, payload: dict) -> SynthesisTarget:
         rule = MatrixRule(reference.rules[0].sector,
                           tuple(tuple(complex(z) for z in row) for row in coarse))
         target = replace(reference, rules=(rule,))
+    elif name in BUILTIN_TARGETS:
+        target = BUILTIN_TARGETS[name](model, charges)
     else:
         raise ValueError(f"unknown target id {name!r} and no stored matrix")
     stored_blocks = tuple(tuple(block) for block in payload["grouping"])

@@ -570,7 +570,9 @@ class AnyonModel:
             r(c,a,e) F(a,c,b,d)[e,g] r(c,b,g)
               = sum_f F(c,a,b,d)[e,f] r(c,f,d) F(a,b,c,d)[f,g]
 
-        and the same with every r conjugated (clockwise exchange).
+        One pass checks both chiralities: every F is a real float64, a
+        damaged one too, so the clockwise identity (every r conjugated) is
+        the exact complex conjugate of this one, with equal residuals.
         """
         F = self._f_table()
         R = self._r_table()
@@ -597,13 +599,12 @@ class AnyonModel:
             # R positions of (c, a, .), (c, b, .) and (c, ., d).
             ca, cb, cd = ((c * n + a) * n)[key], ((c * n + b) * n)[key], (c * n * n + d)[key]
             low, row_count = low[key], count[key]
-            for phase in (np.asarray, np.conj):
-                lhs = phase(R[ca + e]) * F(acbd, e, g) * phase(R[cb + g])
-                rhs = np.zeros(len(key), dtype=np.complex128)
-                for j in range(count[0]):
-                    on = slice(0, np.count_nonzero(row_count > j))
-                    f = low[on] + 2 * j
-                    rhs[on] += (F(cabd[on], e[on], f) * phase(R[cd[on] + f * n])
-                                * F(abcd[on], f, g[on]))
-                worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
+            lhs = R[ca + e] * F(acbd, e, g) * R[cb + g]
+            rhs = np.zeros(len(key), dtype=np.complex128)
+            for j in range(count[0]):
+                on = slice(0, np.count_nonzero(row_count > j))
+                f = low[on] + 2 * j
+                rhs[on] += (F(cabd[on], e[on], f) * R[cd[on] + f * n]
+                            * F(abcd[on], f, g[on]))
+            worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
         return worst

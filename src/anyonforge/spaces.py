@@ -272,16 +272,6 @@ class GroupedBasis:
         return len(self.labels)
 
     @cached_property
-    def _positions(self) -> dict[GroupedLabel, int]:
-        return {label: i for i, label in enumerate(self.labels)}
-
-    def index(self, label: GroupedLabel) -> int:
-        try:
-            return self._positions[label]
-        except KeyError:
-            raise KeyError(f"label {label} not in basis") from None
-
-    @cached_property
     def _sectors(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
         out: dict[tuple[int, ...], list[int]] = {}
         for i, label in enumerate(self.labels):

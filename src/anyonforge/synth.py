@@ -602,18 +602,6 @@ def _replay(problem: _Problem, letters: tuple) -> tuple:
                  for sector in problem.sectors)
 
 
-def _merge_rows(all_rows: list) -> SearchStats:
-    """One curve from the shares' rows; every share has a row per depth."""
-    stats = SearchStats()
-    for same_depth in zip(*all_rows):
-        stats.add(same_depth[0][0],
-                  min(row[1] for row in same_depth),
-                  sum(row[2] for row in same_depth),
-                  sum(row[3] for row in same_depth),
-                  sum(row[4] for row in same_depth))
-    return stats
-
-
 def search(model: AnyonModel, target: SynthesisTarget, max_length: int,
            tolerance: float = DEFAULT_TOLERANCE, workers: int = 1) -> SynthesisResult:
     """Exhaustive enumeration of words up to ``max_length``, in one pass.
@@ -634,7 +622,7 @@ def search(model: AnyonModel, target: SynthesisTarget, max_length: int,
         raise ValueError("tolerance must be a positive number")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    _Problem(model, target)  # refuses a rule that does not fit, before any walk
+    problem = _Problem(model, target)  # refuses a misfit rule before any walk
     # Loaded on the first search, so commands that run none skip it.
     from ._frontier import worker_job
 
@@ -648,14 +636,24 @@ def search(model: AnyonModel, target: SynthesisTarget, max_length: int,
         with ProcessPoolExecutor(max_workers=shares - 1) as pool:
             others = pool.map(job, range(1, shares))
             outcomes = [job(0), *others]
-    bests = [best for best, _ in outcomes if best is not None]
-    if not bests:
+    bests, visited, scores, seconds = zip(*outcomes)
+    found = [best for best in bests if best is not None]
+    if not found:
         raise RuntimeError("no candidate word reached the final arrangement")
-    letters = min(bests, key=lambda best: _rank(*best))[1]
-    stats = _merge_rows([rows for _, rows in outcomes])
+    letters = min(found, key=lambda best: _rank(*best))[1]
+    # The curve: per depth, the shares' tallies in share order, then
+    # accumulated over depths from the empty word's score.
+    stats = SearchStats()
+    best = min(share[0] for share in scores)
+    nodes = 0
+    for depth in range(1, max_length + 1):
+        best = min(best, *(share[depth] for share in scores))
+        frontier = sum(share[depth] for share in visited)
+        nodes += frontier
+        stats.add(depth, best, nodes, frontier, sum(share[depth] for share in seconds))
     stats.wall_seconds = time.perf_counter() - start
     word = BraidWord(target.block_count, letters)
-    return _finish(model, target, tolerance, word, stats)
+    return _finish(problem, tolerance, word, stats)
 
 
 def score_braid(model: AnyonModel, target: SynthesisTarget,
@@ -673,14 +671,14 @@ def score_braid(model: AnyonModel, target: SynthesisTarget,
         raise ValueError("braid strand count does not match the block system")
     if braid.permutation() != target.final_arrangement:
         raise ValueError("braid does not realize the target arrangement")
-    return _finish(model, target, DEFAULT_TOLERANCE, braid, SearchStats())
+    return _finish(_Problem(model, target), DEFAULT_TOLERANCE, braid, SearchStats())
 
 
-def _finish(model: AnyonModel, target: SynthesisTarget, tolerance: float,
-            word: BraidWord, stats: SearchStats) -> SynthesisResult:
+def _finish(problem: _Problem, tolerance: float, word: BraidWord,
+            stats: SearchStats) -> SynthesisResult:
     """Check the two routes' sector matrices agree entry by entry, then
-    build the result from the full-space route."""
-    problem = _Problem(model, target)
+    build the result from the full-space route: ``problem``'s target, with
+    ``stats`` as its curve, converged if its distance is <= ``tolerance``."""
     re, im = problem.rows([_replay(problem, word.letters),
                            _coarse_from_full(problem, word)])
     gap = float(np.hypot(re[:, 0] - re[:, 1], im[:, 0] - im[:, 1]).max())
@@ -696,7 +694,7 @@ def _finish(model: AnyonModel, target: SynthesisTarget, tolerance: float,
              if isinstance(rule, ColumnRule)]
     leak = max([0.0] + [float(dev[0]) for dev in problem.deviations(re, im, leaks)])
     return SynthesisResult(
-        target=target, braid=word, distance=full_score, leakage=leak,
+        target=problem.target, braid=word, distance=full_score, leakage=leak,
         converged=full_score <= tolerance, stats=stats)
 
 

@@ -236,4 +236,4 @@ def test_code_frame_leakage_consistency(model3, parts3):
     U = evaluate(model3, code.basis, parts3["P"].braid, code.grouping)
     direct = leakage(code.to_code_frame(U), code)
     report = assemble_controlled_phase(model3, parts3["P"])
-    assert report.leakage == pytest.approx(direct.leakage_norm, abs=1e-14)
+    assert report.leakage == pytest.approx(direct, abs=1e-14)

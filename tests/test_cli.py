@@ -229,6 +229,31 @@ def test_verify_accepts_words_whose_scores_cancel(capsys, tmp_path, model3, b1_w
     assert run(capsys, "verify", str(path))[0] == 0
 
 
+@pytest.mark.parametrize("stem, spec", [
+    ("E", {"matrix": [[0, 1], [1, 0]]}),
+    ("not", {"name": "B1", "matrix": [[0, 1], [1, 0]]}),
+])
+def test_unitary_target_named_like_a_builtin_round_trips(capsys, tmp_path, stem, spec):
+    """A stored target matrix decides the target, whatever its name: the
+    file verifies, and assembly refuses it, as no gate's component."""
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "u.json"
+    code, _, _ = run(capsys, "synth", "--k", "3", "--target", str(path),
+                     "--max-length", "6", "--out", str(out))
+    assert code == 3
+    stored = json.loads(out.read_text())
+    assert stored["target"] == spec.get("name", stem)
+    assert "target_matrix" in stored
+    code, text, _ = run(capsys, "verify", str(out))
+    assert code == 0
+    assert f"recomputed {stored['distance']!r}" in text
+    code, _, err = run(capsys, "assemble", "--gate", "convert", "--direction",
+                       "merge", str(out))
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_synth_deterministic_across_workers(capsys, tmp_path):
     one, two = tmp_path / "one.json", tmp_path / "two.json"
     run(capsys, "synth", "--k", "3", "--target", "B1", "--max-length", "6",

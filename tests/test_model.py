@@ -358,10 +358,9 @@ def _loop_admissible(k, a, b, c):
         & (a + b + c <= 2 * k)
 
 
-def _loop_residuals(model):
-    """Test-only oracle: the pentagon and hexagon residuals as one small
-    numpy pipeline per (a, b, c) triple and per (a, b) pair, each identity's
-    sum written as ``sum()`` over the channels."""
+def _loop_tables(model):
+    """Test-only oracle tables: every F and R symbol of the model, looked
+    up by label tuple."""
     k = model.k
     for a, b in itertools.product(model.charges, repeat=2):
         for e in model.fuse(a, b):
@@ -375,7 +374,36 @@ def _loop_residuals(model):
         for i, e in enumerate(block.rows)
         for j, f in enumerate(block.cols)
     })
-    R = _SparseTable(k, model.symbols.r_symbols)
+    return F, _SparseTable(k, model.symbols.r_symbols)
+
+
+def _loop_hexagon(model, F, R):
+    """Per (a, b) pair, the hexagon residual of every label tuple: the
+    counterclockwise array, then the clockwise one (every R conjugated)."""
+    k = model.k
+    for a, b in itertools.product(model.charges, repeat=2):
+        c = np.arange(k + 1)
+        c, e = _loop_fan_out(k, [c], a, c)
+        c, e, d = _loop_fan_out(k, [c, e], e, b)
+        c, e, d, g = _loop_fan_out(k, [c, e, d], b, c)
+        keep = _loop_admissible(k, a, g, d)
+        c, e, d, g = (v[keep] for v in (c, e, d, g))
+        residuals = []
+        for phase in (np.asarray, np.conj):
+            lhs = phase(R(c, a, e)) * F(a, c, b, d, e, g) * phase(R(c, b, g))
+            rhs = sum(F(c, a, b, d, e, f) * phase(R(c, f, d)) * F(a, b, c, d, f, g)
+                      for f in model.fuse(a, b))
+            residuals.append(np.abs(lhs - rhs))
+        yield tuple(residuals)
+
+
+def _loop_residuals(model):
+    """Test-only oracle: the pentagon and hexagon residuals as one small
+    numpy pipeline per (a, b, c) triple and per (a, b) pair, each identity's
+    sum written as ``sum()`` over the channels; the hexagon over both
+    chiralities."""
+    k = model.k
+    F, R = _loop_tables(model)
     pentagon = 0.0
     for a, b, c in itertools.product(model.charges, repeat=3):
         d, x = _loop_fan_out(k, [np.arange(k + 1)], a, b)
@@ -390,27 +418,21 @@ def _loop_residuals(model):
                   for w in model.fuse(b, c))
         pentagon = max(pentagon, float(np.abs(lhs - rhs).max(initial=0.0)))
     hexagon = 0.0
-    for a, b in itertools.product(model.charges, repeat=2):
-        c = np.arange(k + 1)
-        c, e = _loop_fan_out(k, [c], a, c)
-        c, e, d = _loop_fan_out(k, [c, e], e, b)
-        c, e, d, g = _loop_fan_out(k, [c, e, d], b, c)
-        keep = _loop_admissible(k, a, g, d)
-        c, e, d, g = (v[keep] for v in (c, e, d, g))
-        for phase in (np.asarray, np.conj):
-            lhs = phase(R(c, a, e)) * F(a, c, b, d, e, g) * phase(R(c, b, g))
-            rhs = sum(F(c, a, b, d, e, f) * phase(R(c, f, d)) * F(a, b, c, d, f, g)
-                      for f in model.fuse(a, b))
-            hexagon = max(hexagon, float(np.abs(lhs - rhs).max(initial=0.0)))
+    for residuals in _loop_hexagon(model, F, R):
+        for residual in residuals:
+            hexagon = max(hexagon, float(residual.max(initial=0.0)))
     return pentagon, hexagon
 
 
-@pytest.mark.parametrize("k, damaged", [(k, ()) for k in range(2, 9)] + [
+_ORACLE_CASES = [(k, ()) for k in range(2, 9)] + [
     (3, (1, 1, 1, 1)),
     (4, (1, 2, 1, 2)),
     (6, (2, 2, 2, 2)),
     (7, (3, 4, 3, 4)),
-])
+]
+
+
+@pytest.mark.parametrize("k, damaged", _ORACLE_CASES)
 def test_batched_checks_equal_the_loop_oracle_bit_for_bit(k, damaged):
     model = AnyonModel(k)
     if damaged:
@@ -420,6 +442,20 @@ def test_batched_checks_equal_the_loop_oracle_bit_for_bit(k, damaged):
         assert pentagon > 1e-4
     assert model.verify_pentagon() == pentagon
     assert model.verify_hexagon() == hexagon
+
+
+@pytest.mark.parametrize("k, damaged", _ORACLE_CASES)
+def test_hexagon_chiralities_have_equal_residuals(k, damaged):
+    """Every F is real, a damaged one too, so the clockwise hexagon is the
+    complex conjugate of the counterclockwise one and every label tuple's
+    residual is the same bit for bit: ``verify_hexagon`` checks one."""
+    model = AnyonModel(k)
+    if damaged:
+        model.corrupt_f_symbol(*damaged)
+    F, R = _loop_tables(model)
+    for ccw, cw in _loop_hexagon(model, F, R):
+        assert ccw.dtype == cw.dtype == np.float64
+        assert ccw.tobytes() == cw.tobytes()
 
 
 def test_corrupted_model_builds_its_own_flat_table():
