@@ -23,7 +23,7 @@ import numpy as np
 
 from .codes import CodeSpace, leakage as code_leakage, multi_qubit_code, single_qubit_code
 from .model import AnyonModel
-from .spaces import FusionTree, Grouping, enumerate_basis
+from .spaces import Grouping, enumerate_basis
 from .synth import BraidWord, SynthesisResult, distance, evaluate, make_target_E
 
 __all__ = [
@@ -203,8 +203,8 @@ def _embedded(model: AnyonModel, code: CodeSpace, bits: tuple[int, ...],
     ``tail`` over the remaining strands."""
     basis8 = enumerate_basis(model, (1,) * 8, 0)
     vec = np.zeros(basis8.dim, dtype=np.complex128)
-    for amp, tree in zip(code.fine_state(bits), code.basis.trees):
-        vec[basis8.index(FusionTree(basis8.leaves, tree.internals + tail))] = amp
+    for amp, path in zip(code.fine_state(bits), code.basis.trees):
+        vec[basis8.index(path + tail)] = amp
     return vec
 
 

@@ -45,7 +45,6 @@ class CodeSpace:
     frame: rows grouped labels, columns fine trees.
     """
 
-    k: int
     basis: FusionBasis
     grouping: Grouping
     grouped: GroupedBasis
@@ -110,7 +109,6 @@ def _build_code(model: AnyonModel, a: int, b: int, n: int) -> CodeSpace:
             f"expected {2 ** n} computational states, found {len(computational)}"
         )
     return CodeSpace(
-        k=model.k,
         basis=basis,
         grouping=grouping,
         grouped=grouped,

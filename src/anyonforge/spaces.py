@@ -1,9 +1,9 @@
 """Fusion-tree bases, elementary braid generators, and block regrouping.
 
 A state space is spanned by left-comb fusion trees: leaves are absorbed one
-at a time, so a tree over leaves (l1, ..., ln) is labeled by the running
+at a time, so a tree over leaves (l1, ..., ln) is its path of running
 internal charges m_i = charge(l1 ... li), with m_1 = l_1 and m_n equal to the
-total charge.  Basis order is lexicographic in the internal-charge sequence.
+total charge.  Basis order is lexicographic in the path.
 
 Exchanging adjacent strands swaps their charge labels: when the two charges
 differ, the braid generator is a unitary from the basis over (.., a, b, ..)
@@ -31,7 +31,6 @@ import numpy as np
 from .model import AnyonModel, _channels
 
 __all__ = [
-    "FusionTree",
     "FusionBasis",
     "Grouping",
     "GroupedLabel",
@@ -46,29 +45,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FusionTree:
-    """One left-comb fusion tree: leaf charges plus running internal charges.
+class FusionBasis:
+    """Ordered basis of fusion trees over fixed leaves and total charge.
 
-    ``internals[i]`` is the total charge of ``leaves[:i+1]``; in particular
-    ``internals[0] == leaves[0]`` and ``internals[-1]`` is the total.
+    Each tree is its path of running charges: ``trees[j][i]`` is the total
+    charge of ``leaves[:i+1]``, so a path starts at ``leaves[0]`` and ends
+    at ``total``.
     """
 
     leaves: tuple[int, ...]
-    internals: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return self.internals[-1]
-
-
-@dataclass(frozen=True)
-class FusionBasis:
-    """Ordered basis of fusion trees over fixed leaves and total charge."""
-
-    k: int
-    leaves: tuple[int, ...]
     total: int
-    trees: tuple[FusionTree, ...]
+    trees: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -76,13 +63,15 @@ class FusionBasis:
 
     @cached_property
     def _positions(self) -> dict[tuple[int, ...], int]:
-        """Position of each tree, by its internal charges."""
-        return {tree.internals: i for i, tree in enumerate(self.trees)}
+        """Position of each tree, by its path."""
+        return {path: i for i, path in enumerate(self.trees)}
 
-    def index(self, tree: FusionTree) -> int:
-        position = self._positions.get(tree.internals) if tree.leaves == self.leaves else None
+    def index(self, path: tuple[int, ...]) -> int:
+        """Position of the tree with running charges ``path``; KeyError if
+        no tree of this basis has that path."""
+        position = self._positions.get(path)
         if position is None:
-            raise KeyError(f"tree {tree} not in basis")
+            raise KeyError(f"path {path} not in basis")
         return position
 
 
@@ -108,8 +97,7 @@ def enumerate_basis(model: AnyonModel, leaves: tuple[int, ...], total: int) -> F
     paths = [(leaves[0],)]
     for leaf in leaves[1:]:
         paths = [path + (c,) for path in paths for c in _channels(model.k, path[-1], leaf)]
-    trees = tuple(FusionTree(leaves, path) for path in paths if path[-1] == total)
-    basis = FusionBasis(model.k, leaves, total, trees)
+    basis = FusionBasis(leaves, total, tuple(path for path in paths if path[-1] == total))
     cache[key] = basis
     return basis
 
@@ -181,12 +169,11 @@ def braid_generator(model: AnyonModel, basis: FusionBasis, position: int) -> np.
     target = enumerate_basis(model, swap_leaves(basis.leaves, position), basis.total)
     rows = target._positions
     matrix = np.zeros((target.dim, basis.dim), dtype=np.complex128)
-    for col, tree in enumerate(basis.trees):
-        internals = tree.internals
-        prefix = internals[i - 1] if i >= 1 else 0
-        head, tail = internals[:i], internals[i + 1:]
+    for col, path in enumerate(basis.trees):
+        prefix = path[i - 1] if i >= 1 else 0
+        head, tail = path[:i], path[i + 1:]
         block = _exchange_block(model, prefix, a, b, tail[0])
-        for e_new, amp in block[internals[i]]:
+        for e_new, amp in block[path[i]]:
             matrix[rows[head + (e_new,) + tail], col] = amp
     matrix.setflags(write=False)
     cache[key] = matrix
@@ -241,9 +228,10 @@ def _require_cover(grouping: Grouping, basis: FusionBasis) -> None:
 class GroupedLabel:
     """Label of one regrouped basis vector.
 
-    ``block_charges[j]`` is the total charge of block j, ``coarse[j]`` the
-    running charge of blocks 0..j, and ``block_internals[j]`` the internal
-    comb of block j (one running charge per leaf of the block).
+    ``block_charges[j]`` is the total charge of block j, ``coarse`` the
+    coarse tree's path (``coarse[j]`` the running charge of blocks 0..j),
+    and ``block_internals[j]`` the path of block j's internal tree (one
+    running charge per leaf of the block).
     """
 
     block_charges: tuple[int, ...]
@@ -253,7 +241,7 @@ class GroupedLabel:
 
 @dataclass(frozen=True)
 class GroupedBasis:
-    """Ordered regrouped basis, a grid per sector.
+    """Ordered regrouped basis, a grid per sector; ``regroup`` builds it.
 
     Labels come sector by sector, block charges ascending.  Within a
     sector they run coarse tree major (the coarse basis's order), then
@@ -261,10 +249,6 @@ class GroupedBasis:
     order), so a sector's run reshapes to (coarse trees, internal trees).
     """
 
-    k: int
-    leaves: tuple[int, ...]
-    total: int
-    grouping: Grouping
     labels: tuple[GroupedLabel, ...]
 
     @property
@@ -272,16 +256,13 @@ class GroupedBasis:
         return len(self.labels)
 
     @cached_property
-    def _sectors(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
+    def sectors(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
+        """Map block-charge assignment -> indices of its basis vectors
+        (one contiguous run each); built once per frame, read-only."""
         out: dict[tuple[int, ...], list[int]] = {}
         for i, label in enumerate(self.labels):
             out.setdefault(label.block_charges, []).append(i)
         return MappingProxyType({key: tuple(val) for key, val in out.items()})
-
-    def sectors(self) -> Mapping[tuple[int, ...], tuple[int, ...]]:
-        """Map block-charge assignment -> indices of its basis vectors
-        (one contiguous run each); built once per frame, read-only."""
-        return self._sectors
 
 
 def _absorb(model: AnyonModel, prefix: int, block_leaves: tuple[int, ...],
@@ -334,11 +315,9 @@ def regroup(model: AnyonModel, basis: FusionBasis, grouping: Grouping
         charges = tuple(c for c, _ in sector)
         for coarse in enumerate_basis(model, charges, basis.total).trees:
             for choice in product(*(trees for _, trees in sector)):
-                labels.append(GroupedLabel(charges, coarse.internals,
-                                           tuple(t.internals for t in choice)))
-    grouped = GroupedBasis(model.k, basis.leaves, basis.total, grouping, tuple(labels))
+                labels.append(GroupedLabel(charges, coarse, choice))
+    grouped = GroupedBasis(tuple(labels))
 
-    fine_index = {tree.internals: i for i, tree in enumerate(basis.trees)}
     matrix = np.zeros((len(labels), basis.dim), dtype=np.complex128)
     for row, label in enumerate(labels):
         expansions = []
@@ -350,7 +329,7 @@ def regroup(model: AnyonModel, basis: FusionBasis, grouping: Grouping
             )
         for combo in product(*[e.items() for e in expansions]):
             internals = tuple(c for segment, _ in combo for c in segment)
-            col = fine_index.get(internals)
+            col = basis._positions.get(internals)
             if col is None:
                 continue
             amp = 1.0 + 0.0j
@@ -394,10 +373,14 @@ def composite_braid_generator(model: AnyonModel, basis: FusionBasis,
     return matrix
 
 
-def swap_blocks(grouping: Grouping, position: int) -> Grouping:
-    """Grouping after exchanging blocks at 1-based ``position`` (sizes swap);
-    ``grouping`` itself when the two blocks have the same size."""
+def swap_blocks(leaves: tuple[int, ...], grouping: Grouping,
+                position: int) -> tuple[tuple[int, ...], Grouping]:
+    """Leaves and grouping after exchanging blocks at 1-based ``position``:
+    the two blocks' leaf runs trade places and their sizes swap (the
+    grouping is ``grouping`` itself when the sizes are equal)."""
+    blocks = swap_leaves(grouping.block_charges(leaves), position)
+    swapped = tuple(c for block in blocks for c in block)
     sizes = tuple(len(b) for b in grouping.blocks)
     if sizes[position - 1] == sizes[position]:
-        return grouping
-    return Grouping.of_sizes(*swap_leaves(sizes, position))
+        return swapped, grouping
+    return swapped, Grouping.of_sizes(*swap_leaves(sizes, position))

@@ -33,7 +33,6 @@ import numpy as np
 from .codes import EncodingError, multi_qubit_code, single_qubit_code
 from .model import AnyonModel, ConsistencyError, DEFAULT_TOLERANCE
 from .spaces import (
-    FusionTree,
     Grouping,
     _require_cover,
     braid_generator,
@@ -132,12 +131,6 @@ def distance(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 1.0 - abs(np.trace(U.conj().T @ V)) / n)))
 
 
-def _block_swapped_leaves(leaves: tuple[int, ...], grouping: Grouping,
-                          position: int) -> tuple[int, ...]:
-    blocks = swap_leaves(grouping.block_charges(leaves), position)
-    return tuple(c for block in blocks for c in block)
-
-
 @cache
 def _singletons(strand_count: int) -> Grouping:
     """The grouping with every strand a block of its own."""
@@ -170,8 +163,7 @@ def evaluate_tracked(model: AnyonModel, basis, word: BraidWord,
         key = (leaves, total, g.blocks, pos, exp)
         step = steps.get(key)
         if step is None:
-            new_leaves = _block_swapped_leaves(leaves, g, pos)
-            new_g = swap_blocks(g, pos)
+            new_leaves, new_g = swap_blocks(leaves, g, pos)
             if exp == 1:
                 M = composite_braid_generator(
                     model, enumerate_basis(model, leaves, total), g, pos)
@@ -337,7 +329,7 @@ def _pair_sectors(a: int):
 def _comp_index(model: AnyonModel, sector: tuple[int, ...], a: int) -> int:
     """Index of the all-a coarse tree inside a sector's coarse basis."""
     basis = enumerate_basis(model, sector, 0)
-    return basis.index(FusionTree(sector, (a,) * (len(sector) - 1) + (0,)))
+    return basis.index((a,) * (len(sector) - 1) + (0,))
 
 
 def make_target_P(model: AnyonModel, charges: tuple[int, int] = (1, 1)) -> SynthesisTarget:
@@ -383,7 +375,7 @@ def _aggregation_target(model: AnyonModel, charges: tuple[int, int], joined: int
     col = fm.cols.index(joined)
     target = [0.0j] * basis.dim
     for r, m in enumerate(fm.rows):
-        target[basis.index(FusionTree(sector, (a, m, a, 0)))] = complex(fm.matrix[r, col])
+        target[basis.index((a, m, a, 0))] = complex(fm.matrix[r, col])
     comp = _comp_index(model, sector, a)
     rules = (ColumnRule(sector, comp, tuple(target), exact_value=None),)
     return SynthesisTarget(
@@ -420,7 +412,7 @@ def make_target_E(model: AnyonModel, charges: tuple[int, int] = (1, 1)) -> Synth
     grouping = Grouping.of_sizes(3, 1, 3, 1)
     sector = (a, a, a, a)
     basis = enumerate_basis(model, sector, 0)
-    channel0 = basis.index(FusionTree(sector, (a, 0, a, 0)))
+    channel0 = basis.index((a, 0, a, 0))
     target = tuple(1.0 + 0.0j if i == channel0 else 0.0j for i in range(basis.dim))
     rules = (ColumnRule(sector, channel0, target, exact_value=None),)
     return SynthesisTarget(
@@ -487,7 +479,7 @@ class _Problem:
         # and a rule that does not fit its sector.
         held = regroup(model, enumerate_basis(model, target.leaves, 0), target.grouping)[0]
         for sector in self.sectors:
-            if sector not in held.sectors():
+            if sector not in held.sectors:
                 raise ValueError(f"sector {sector} does not occur in the block system")
         sector_pos = {s: i for i, s in enumerate(self.sectors)}
         self.dims = tuple(enumerate_basis(model, s, 0).dim for s in self.sectors)
@@ -725,8 +717,8 @@ def _coarse_from_full(problem: _Problem, word: BraidWord) -> tuple:
     for sector in problem.sectors:
         trees = [enumerate_basis(model, leaves, c).dim
                  for leaves, c in zip(block_leaves, sector)]
-        cols = np.reshape(g_in.sectors()[sector], (-1, *trees))
-        rows = np.reshape(g_out.sectors()[tuple(sector[b] for b in perm)],
+        cols = np.reshape(g_in.sectors[sector], (-1, *trees))
+        rows = np.reshape(g_out.sectors[tuple(sector[b] for b in perm)],
                           (-1, *(trees[b] for b in perm))).transpose(back)
         # (internal trees, coarse trees) index grids, one slice per tree
         rows, cols = (grid.reshape(len(grid), -1).T for grid in (rows, cols))

@@ -8,7 +8,6 @@ from anyonforge import (
     AnyonModel,
     AssemblyError,
     BraidWord,
-    FusionTree,
     Grouping,
     SynthesisResult,
     assemble_ccz,
@@ -169,12 +168,10 @@ def _scanned_product_states(model):
         for b2 in (0, 1):
             tail = (1, 2 * b2, 1, 0)
             vec = np.zeros(basis8.dim, dtype=np.complex128)
-            for i, tree in enumerate(basis8.trees):
-                m = tree.internals
+            for i, m in enumerate(basis8.trees):
                 if m[3] != 0 or m[4:] != tail:
                     continue
-                head = FusionTree(leaves=tree.leaves[:4], internals=m[:4])
-                vec[i] = psi1[basis4.index(head)]
+                vec[i] = psi1[basis4.index(m[:4])]
             out.append(vec)
     return out
 
@@ -189,12 +186,10 @@ def _scanned_merged_states(model):
         for b2 in (0, 1):
             psi6 = code.fine_state((b1, b2))
             vec = np.zeros(basis8.dim, dtype=np.complex128)
-            for i, tree in enumerate(basis8.trees):
-                m = tree.internals
+            for i, m in enumerate(basis8.trees):
                 if m[5] != 0:
                     continue
-                head = FusionTree(leaves=tree.leaves[:6], internals=m[:6])
-                vec[i] = psi6[basis6.index(head)]
+                vec[i] = psi6[basis6.index(m[:6])]
             out.append(vec)
     return out
 

@@ -2,17 +2,20 @@
 
 import contextlib
 import io
+import itertools
 import json
 import shlex
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from anyonforge import (AnyonModel, BraidWord, braid_generator, cli, enumerate_basis,
                         evaluate, make_target_B1, score_braid, search, synth,
-                        write_braid_file)
+                        verify_braid_relations, write_braid_file)
 from anyonforge.cli import main
+from anyonforge.model import MAX_LEVEL
 from anyonforge.synth import BUILTIN_TARGETS
 
 
@@ -110,6 +113,75 @@ def test_check_payload_is_pinned(capsys, argv):
     assert payload == expected
     assert [repr(payload[name]) for name in expected] == \
         [repr(value) for value in expected.values()]
+
+
+def _three_and_four_strand_residual(model):
+    """The braid-relation residual over the eight three-strand and sixteen
+    four-strand systems, as ``check`` once computed it: the oracle of the
+    four-strand suite."""
+    return max(verify_braid_relations(model, system)
+               for size in (3, 4) for system in itertools.product((1, 2), repeat=size))
+
+
+@pytest.mark.parametrize("argv", [("--k", str(k)) for k in range(2, 9)]
+                         + [("--k", "3", "--debug-corrupt")])
+def test_four_strand_suite_equals_the_24_system_residual(capsys, argv):
+    code, out, _ = run(capsys, "check", *argv, "--format", "json")
+    model = AnyonModel(int(argv[1]))
+    if "--debug-corrupt" in argv:
+        model.corrupt_f_symbol(1, 1, 1, 1)
+    assert repr(json.loads(out)["braid_relation_residual"]) == \
+        repr(_three_and_four_strand_residual(model))
+
+
+def test_four_strand_suite_is_within_rounding_of_the_24_system_one_at_every_level():
+    """Above k = 8 the two residuals may part by rounding: measured, the
+    four-strand one is 3.9e-31 lower at k = 21, 51 and 71 and bit-equal at
+    every other level up to ``MAX_LEVEL``."""
+    for k in range(2, MAX_LEVEL + 1):
+        model = AnyonModel(k)
+        four = max(verify_braid_relations(model, system)
+                   for system in itertools.product((1, 2), repeat=4))
+        assert 0 <= _three_and_four_strand_residual(model) - four <= 1e-15
+
+
+def _yang_baxter_gap(model, basis):
+    """s1 s2 s1 - s2 s1 s2 on a basis, columns ``basis``, rows the basis
+    over strands 1 and 3 exchanged."""
+    n = len(basis.leaves)
+    left = BraidWord(n, ((1, 1), (2, 1), (1, 1)))
+    right = BraidWord(n, ((2, 1), (1, 1), (2, 1)))
+    return evaluate(model, basis, left) - evaluate(model, basis, right)
+
+
+@pytest.mark.parametrize("k, corrupt", [(k, False) for k in range(2, 9)] + [(3, True)])
+def test_three_strand_relations_are_blocks_of_the_four_strand_ones(k, corrupt):
+    """At total m, the relation of (a, b, c) is the block of the i=1
+    relation in (a, b, c, d) whose first three strands fuse to m, for every
+    d and every total of the four strands; every nonempty (a, b, c) at
+    every m is such a block."""
+    model = AnyonModel(k)
+    if corrupt:
+        model.corrupt_f_symbol(1, 1, 1, 1)
+    covered = set()
+    for leaves in itertools.product((1, 2), repeat=4):
+        swapped = (leaves[2], leaves[1], leaves[0], leaves[3])
+        for total in model.charges:
+            basis = enumerate_basis(model, leaves, total)
+            if basis.dim == 0:
+                continue
+            out = enumerate_basis(model, swapped, total)
+            gap = _yang_baxter_gap(model, basis)
+            for m in sorted({path[2] for path in basis.trees}):
+                small = enumerate_basis(model, leaves[:3], m)
+                small_out = enumerate_basis(model, swapped[:3], m)
+                cols = [basis.index(path + (total,)) for path in small.trees]
+                rows = [out.index(path + (total,)) for path in small_out.trees]
+                block = gap[np.ix_(rows, cols)]
+                assert np.abs(block - _yang_baxter_gap(model, small)).max() <= 2e-15
+                covered.add((leaves[:3], m))
+    assert covered == {(leaves, m) for leaves in itertools.product((1, 2), repeat=3)
+                       for m in model.charges if enumerate_basis(model, leaves, m).dim}
 
 
 def test_corrupt_check_does_not_reuse_clean_generators(capsys):

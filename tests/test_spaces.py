@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from anyonforge import (
     AnyonModel,
-    FusionTree,
     GroupedLabel,
     Grouping,
     braid_generator,
@@ -53,30 +52,29 @@ def test_numpy_int_leaves_hit_the_basis_cache(model3):
 
 def test_basis_trees_lexicographic_and_valid(model3):
     basis = enumerate_basis(model3, (1,) * 6, 0)
-    internals = [t.internals for t in basis.trees]
-    assert internals == sorted(internals)
-    assert internals == [
+    paths = list(basis.trees)
+    assert paths == sorted(paths)
+    assert paths == [
         (1, 0, 1, 0, 1, 0),
         (1, 0, 1, 2, 1, 0),
         (1, 2, 1, 0, 1, 0),
         (1, 2, 1, 2, 1, 0),
         (1, 2, 3, 2, 1, 0),
     ]
-    for tree in basis.trees:
-        assert tree.internals[0] == tree.leaves[0]
-        assert tree.total == 0
+    for path in basis.trees:
+        assert path[0] == basis.leaves[0]
+        assert path[-1] == basis.total == 0
         for i in range(1, 6):
-            assert tree.internals[i] in model3.fuse(tree.internals[i - 1],
-                                                    tree.leaves[i])
+            assert path[i] in model3.fuse(path[i - 1], basis.leaves[i])
 
 
 def test_basis_index_round_trip(model3):
     basis = enumerate_basis(model3, (1,) * 4, 0)
     assert basis.dim == 2
-    for i, tree in enumerate(basis.trees):
-        assert basis.index(tree) == i
+    for i, path in enumerate(basis.trees):
+        assert basis.index(path) == i
     with pytest.raises(KeyError):
-        basis.index(FusionTree((1, 1, 1, 1), (1, 2, 3, 0)))
+        basis.index((1, 2, 3, 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,12 +126,12 @@ def _entrywise_generator(model, basis, position):
     a, b = basis.leaves[i], basis.leaves[i + 1]
     target = enumerate_basis(model, swap_leaves(basis.leaves, position), basis.total)
     matrix = np.zeros((target.dim, basis.dim), dtype=np.complex128)
-    for col, tree in enumerate(basis.trees):
-        prefix = tree.internals[i - 1] if i >= 1 else 0
-        upper = tree.internals[i + 1] if i + 1 < len(tree.internals) else tree.total
+    for col, path in enumerate(basis.trees):
+        prefix = path[i - 1] if i >= 1 else 0
+        upper = path[i + 1] if i + 1 < len(path) else path[-1]
         fwd = model.f_symbol(prefix, a, b, upper)
         back = model.f_symbol(prefix, b, a, upper)
-        row_of = fwd.rows.index(tree.internals[i])
+        row_of = fwd.rows.index(path[i])
         for e_new_idx, e_new in enumerate(back.rows):
             amp = 0.0j
             for g_idx, g in enumerate(fwd.cols):
@@ -141,9 +139,9 @@ def _entrywise_generator(model, basis, position):
                         * back.matrix[e_new_idx, g_idx])
             if amp == 0.0j:
                 continue
-            internals = list(tree.internals)
+            internals = list(path)
             internals[i] = e_new
-            matrix[target.index(FusionTree(target.leaves, tuple(internals))), col] = amp
+            matrix[target.index(tuple(internals)), col] = amp
     return matrix
 
 
@@ -246,7 +244,7 @@ def test_regroup_unitary_and_sectors(model3):
     basis = enumerate_basis(model3, (1,) * 6, 0)
     grouped, U = regroup(model3, basis, Grouping.of_sizes(2, 2, 2))
     assert_unitary(U)
-    counts = {key: len(val) for key, val in grouped.sectors().items()}
+    counts = {key: len(val) for key, val in grouped.sectors.items()}
     assert counts == {(0, 0, 0): 1, (0, 2, 2): 1, (2, 0, 2): 1,
                       (2, 2, 0): 1, (2, 2, 2): 1}
     assert len(set(grouped.labels)) == grouped.dim
@@ -263,8 +261,8 @@ def _sorted_frame(model, basis, grouping):
     (block charges, block trees) choice, coarse sequences grown through
     ``fuse``, then all labels sorted."""
     block_leaves = grouping.block_charges(basis.leaves)
-    per_block = [sorted({(c, tree.internals) for c in range(model.k + 1)
-                         for tree in enumerate_basis(model, leaves, c).trees})
+    per_block = [sorted({(c, path) for c in range(model.k + 1)
+                         for path in enumerate_basis(model, leaves, c).trees})
                  for leaves in block_leaves]
     labels = []
     for choice in itertools.product(*per_block):
@@ -276,7 +274,7 @@ def _sorted_frame(model, basis, grouping):
                    for seq in seqs if seq[-1] == basis.total]
     labels.sort(key=lambda label: (label.block_charges, label.coarse,
                                    label.block_internals))
-    fine = {tree.internals: i for i, tree in enumerate(basis.trees)}
+    fine = {path: i for i, path in enumerate(basis.trees)}
     matrix = np.zeros((len(labels), basis.dim), dtype=np.complex128)
     for row, label in enumerate(labels):
         parts = [_absorb(model, label.coarse[j - 1] if j else 0, leaves,
@@ -323,7 +321,7 @@ def test_regroup_emits_the_sorted_frame_sector_by_sector(k):
                 labels, want = _sorted_frame(model, basis, grouping)
                 assert grouped.labels == labels
                 assert U.tobytes() == want.tobytes()
-                for sector, run in grouped.sectors().items():
+                for sector, run in grouped.sectors.items():
                     assert run == tuple(range(run[0], run[0] + len(run)))
                     assert {grouped.labels[i].block_charges for i in run} == {sector}
 
@@ -331,8 +329,8 @@ def test_regroup_emits_the_sorted_frame_sector_by_sector(k):
 def test_sectors_are_built_once_and_read_only(model3):
     grouped, _ = regroup(model3, enumerate_basis(model3, (1,) * 6, 0),
                          Grouping.of_sizes(2, 2, 2))
-    sectors = grouped.sectors()
-    assert grouped.sectors() is sectors
+    sectors = grouped.sectors
+    assert grouped.sectors is sectors
     with pytest.raises(TypeError):
         sectors[(0, 0, 0)] = ()
     assert isinstance(sectors[(0, 0, 0)], tuple)
@@ -361,7 +359,7 @@ def test_unbalanced_composite_transports_trees_uniformly(model3):
     grouping = Grouping.of_sizes(1, 3)
     grouped, U_in = regroup(model3, basis, grouping)
     comp = composite_braid_generator(model3, basis, grouping, 1)
-    grouped_out, U_out = regroup(model3, basis, swap_blocks(grouping, 1))
+    grouped_out, U_out = regroup(model3, basis, swap_blocks(basis.leaves, grouping, 1)[1])
     G = U_out @ comp @ U_in.conj().T
     phase = model3.r_symbol(1, 1, 0)
     src = {grouped.labels[i].block_internals: i for i in range(grouped.dim)}

@@ -229,8 +229,8 @@ def test_exchange_target_structure(model3):
 def _scanned_index(basis, internals) -> int:
     """A tree's position found by walking ``basis.trees``, as the target
     factories did before they asked ``FusionBasis.index``."""
-    for i, tree in enumerate(basis.trees):
-        if tree.internals == internals:
+    for i, path in enumerate(basis.trees):
+        if path == internals:
             return i
     raise AssertionError(f"no tree {internals}")
 
@@ -523,7 +523,7 @@ def test_dual_route_check_sees_internal_trees(model3, monkeypatch, tmp_path, cap
     grouped, frame = regroup(model3, enumerate_basis(model3, target.leaves, 0),
                              target.grouping)
     (rule,) = target.rules
-    run = grouped.sectors()[rule.sector]
+    run = grouped.sectors[rule.sector]
     labels = [grouped.labels[i] for i in run]
     assert labels[-1].block_internals != labels[0].block_internals
     twist = np.eye(grouped.dim, dtype=complex)
