@@ -85,15 +85,14 @@ class FMatrix:
 class SymbolCache:
     """One level's symbol table and everything derived from it.
 
-    Holds the memoized F and R symbols, the flat F and R tables the
-    pentagon and hexagon checks read (``f_table``, ``r_table``: built once,
-    on first use; building ``f_table`` evaluates every F block in one
-    batched pass and leaves ``f_symbols`` to ``AnyonModel.f_symbol``, but
-    takes every block already there, a damaged one among them), the fusion
-    bases built by ``spaces.enumerate_basis``,
-    the exchange blocks and braid generators built from the symbols by
+    Holds the memoized F symbols, the flat F and R tables the pentagon and
+    hexagon checks read (``f_table``, ``r_table``: built once, on first
+    use; building ``f_table`` evaluates every F block in one batched pass
+    and leaves ``f_symbols`` to ``AnyonModel.f_symbol``, but takes every
+    block already there, a damaged one among them), the fusion bases built
+    by ``spaces.enumerate_basis``, the exchange blocks read by
     ``spaces.braid_generator``, the regrouped frames built by
-    ``spaces.regroup`` and the word steps of ``synth.evaluate_tracked``.
+    ``spaces.regroup`` and the braid letters built by ``spaces._letter``.
     ``exchanges`` maps (prefix, a, b, upper) to the local exchange of a and
     b under ``prefix`` inside ``upper``: for each incoming channel e, the
     nonzero (e', amplitude) pairs of F-move, R phase and F-move back, from
@@ -109,12 +108,10 @@ class SymbolCache:
     def __init__(self, k: int):
         self.k = k
         self.f_symbols: dict[tuple[int, int, int, int], FMatrix] = {}
-        self.r_symbols: dict[tuple[int, int, int], complex] = {}
         self.f_table: _FTable | None = None
         self.r_table: np.ndarray | None = None
         self.bases: dict = {}
         self.exchanges: dict = {}
-        self.generators: dict = {}
         self.frames: dict = {}
         self.steps: dict = {}
 
@@ -257,7 +254,9 @@ class AnyonModel:
                 or not 2 <= k <= MAX_LEVEL:
             raise ValueError(f"level must be an integer from 2 to {MAX_LEVEL}, got {k!r}")
         self.k = int(k)
-        self.symbols = _CLEAN_TABLES.setdefault(self.k, SymbolCache(self.k))
+        if self.k not in _CLEAN_TABLES:
+            _CLEAN_TABLES[self.k] = SymbolCache(self.k)
+        self.symbols = _CLEAN_TABLES[self.k]
         # q-integers [n] for n = 0 .. 2k+2, with exact zeros at n = 0 mod k+2
         # so that level-truncated Racah terms vanish identically.
         denom = math.sin(math.pi / (self.k + 2))
@@ -386,22 +385,12 @@ class AnyonModel:
 
     def r_symbol(self, a: int, b: int, c: int) -> complex:
         """Counterclockwise exchange phase of a and b in channel c."""
-        if type(a) is int and type(b) is int and type(c) is int:
-            cached = self.symbols.r_symbols.get((a, b, c))
-            if cached is not None:
-                return cached
-        key = (self.check_charge(a), self.check_charge(b), self.check_charge(c))
-        cached = self.symbols.r_symbols.get(key)
-        if cached is not None:
-            return cached
-        a, b, c = key
-        if not self.can_fuse(a, b, c):
+        a, b, c = self.check_charge(a), self.check_charge(b), self.check_charge(c)
+        if not _can_fuse(self.k, a, b, c):
             raise ValueError(f"channel {c} not in fuse({a}, {b}) at k={self.k}")
         sign = -1.0 if ((a + b - c) // 2) % 2 else 1.0
         angle = math.pi * (c * (c + 2) - a * (a + 2) - b * (b + 2)) / (4 * (self.k + 2))
-        value = sign * complex(math.cos(angle), math.sin(angle))
-        self.symbols.r_symbols[key] = value
-        return value
+        return sign * complex(math.cos(angle), math.sin(angle))
 
     def corrupt_f_symbol(self, a: int, b: int, c: int, d: int, delta: float = 1e-2) -> None:
         """Damage one F block (diagnostic aid).
@@ -410,14 +399,12 @@ class AnyonModel:
         tests: a corrupted entry must make the pentagon residual blow up.
         The model first moves onto a private copy of its symbol table, so
         the shared clean table of this level, and every other model, stay
-        untouched.  The copy holds the F and R symbols only: no bases,
-        exchange blocks, generators, frames or word steps derived from the
-        clean symbols.
+        untouched.  The copy holds the F symbols only: no bases, exchange
+        blocks, frames or letters derived from the clean symbols.
         """
         block = self.f_symbol(a, b, c, d)
         table = SymbolCache(self.k)
         table.f_symbols = dict(self.symbols.f_symbols)
-        table.r_symbols = dict(self.symbols.r_symbols)
         damaged = block.matrix.copy()
         damaged[0, 0] += delta
         damaged.setflags(write=False)
@@ -426,8 +413,8 @@ class AnyonModel:
 
     def precompute(self) -> None:
         """Build the flat F and R tables the consistency checks read into
-        the symbol table (every R symbol is memoized on the way; F blocks
-        stay with ``f_symbol``, which builds them on demand)."""
+        the symbol table (no R symbol is memoized; F blocks stay with
+        ``f_symbol``, which builds them on demand)."""
         self._f_table()
         self._r_table()
 

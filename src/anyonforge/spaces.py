@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from types import MappingProxyType
 
@@ -104,7 +104,10 @@ def enumerate_basis(model: AnyonModel, leaves: tuple[int, ...], total: int) -> F
 
 def swap_leaves(leaves: tuple[int, ...], position: int) -> tuple[int, ...]:
     """Leaf ordering after exchanging strands at 1-based ``position``; any
-    row (block charges, block sizes, an arrangement) swaps the same way."""
+    row (block charges, block sizes, an arrangement) swaps the same way.
+    A position outside 1..n-1 raises ValueError."""
+    if not 1 <= position < len(leaves):
+        raise ValueError(f"position {position} outside 1..{len(leaves) - 1}")
     i = position - 1
     swapped = list(leaves)
     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
@@ -155,15 +158,11 @@ def braid_generator(model: AnyonModel, basis: FusionBasis, position: int) -> np.
     (prefix), after its first strand (e) and after both (upper).  The
     level's exchange block at (prefix, a, b, upper) is built once per
     symbol table; a column copies the block's entries for its e into the
-    rows of the trees that differ from it in e alone.
+    rows of the trees that differ from it in e alone.  The matrix is
+    read-only and built on every call (``_letter`` memoizes letters).
     """
     if not 1 <= position < len(basis.leaves):
         raise ValueError(f"position {position} outside 1..{len(basis.leaves) - 1}")
-    key = (basis.leaves, basis.total, position)
-    cache = model.symbols.generators
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     i = position - 1
     a, b = basis.leaves[i], basis.leaves[i + 1]
     target = enumerate_basis(model, swap_leaves(basis.leaves, position), basis.total)
@@ -176,15 +175,14 @@ def braid_generator(model: AnyonModel, basis: FusionBasis, position: int) -> np.
         for e_new, amp in block[path[i]]:
             matrix[rows[head + (e_new,) + tail], col] = amp
     matrix.setflags(write=False)
-    cache[key] = matrix
     return matrix
 
 
 def inverse_braid_generator(model: AnyonModel, basis: FusionBasis, position: int) -> np.ndarray:
     """Clockwise exchange: the adjoint of the generator taken from the
-    swapped ordering back to this one."""
-    swapped = enumerate_basis(model, swap_leaves(basis.leaves, position), basis.total)
-    return braid_generator(model, swapped, position).conj().T
+    swapped ordering back to this one (read-only, from ``_letter``)."""
+    return _letter(model, basis.leaves, basis.total, _singletons(len(basis.leaves)),
+                   position, -1)[0]
 
 
 @dataclass(frozen=True)
@@ -345,12 +343,12 @@ def composite_braid_generator(model: AnyonModel, basis: FusionBasis,
                               grouping: Grouping, position: int) -> np.ndarray:
     """Exchange of whole blocks ``position`` and ``position``+1.
 
-    The product of elementary strand exchanges that carries every strand of
-    the left block past every strand of the right block, preserving the
-    order inside each block.  Columns are indexed by ``basis``, rows by the
-    basis over the block-swapped leaf ordering.  The result is read-only:
-    for two single-strand blocks it is the level's elementary generator
-    itself.
+    The product of elementary strand exchanges (each a ``_letter``) that
+    carries every strand of the left block past every strand of the right
+    block, preserving the order inside each block.  Columns are indexed by
+    ``basis``, rows by the basis over the block-swapped leaf ordering.  The
+    result is read-only: for two single-strand blocks it is the level's
+    elementary generator itself.
     """
     if not 1 <= position < len(grouping.blocks):
         raise ValueError(f"position {position} outside 1..{len(grouping.blocks) - 1}")
@@ -360,15 +358,14 @@ def composite_braid_generator(model: AnyonModel, basis: FusionBasis,
     start = left[0]
     if len(left) == len(right) == 1:
         return braid_generator(model, basis, start)
+    singletons = _singletons(len(basis.leaves))
     matrix = np.eye(basis.dim, dtype=np.complex128)
     leaves = basis.leaves
     # rightmost strand of the left block crosses first
     for j in range(len(left) - 1, -1, -1):
         for t in range(len(right)):
-            pos = start + j + t
-            current = enumerate_basis(model, leaves, basis.total)
-            matrix = braid_generator(model, current, pos) @ matrix
-            leaves = swap_leaves(leaves, pos)
+            step, leaves, _ = _letter(model, leaves, basis.total, singletons, start + j + t, 1)
+            matrix = step @ matrix
     matrix.setflags(write=False)
     return matrix
 
@@ -384,3 +381,33 @@ def swap_blocks(leaves: tuple[int, ...], grouping: Grouping,
     if sizes[position - 1] == sizes[position]:
         return swapped, grouping
     return swapped, Grouping.of_sizes(*swap_leaves(sizes, position))
+
+
+@cache
+def _singletons(strand_count: int) -> Grouping:
+    """The grouping with every strand a block of its own."""
+    return Grouping.of_sizes(*([1] * strand_count))
+
+
+def _letter(model: AnyonModel, leaves: tuple[int, ...], total: int, grouping: Grouping,
+            position: int, exponent: int) -> tuple:
+    """The exchange of blocks ``position`` and ``position``+1 of
+    ``grouping`` over ``leaves`` and ``total`` (exponent 1 counterclockwise,
+    -1 clockwise): its read-only matrix, and the leaves and grouping it
+    ends on.  The only builder of letters, each once per symbol table
+    (``model.symbols.steps``); -1 is the adjoint of the +1 letter from the
+    swapped arrangement.  ``grouping`` must cover ``leaves``."""
+    key = (leaves, total, grouping.blocks, position, exponent)
+    steps = model.symbols.steps
+    step = steps.get(key)
+    if step is None:
+        new_leaves, new_grouping = swap_blocks(leaves, grouping, position)
+        if exponent == 1:
+            matrix = composite_braid_generator(
+                model, enumerate_basis(model, leaves, total), grouping, position)
+        else:
+            forward = _letter(model, new_leaves, total, new_grouping, position, 1)[0]
+            matrix = forward.conj().T
+            matrix.setflags(write=False)
+        step = steps[key] = (matrix, new_leaves, new_grouping)
+    return step

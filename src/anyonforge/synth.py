@@ -26,7 +26,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -34,13 +34,11 @@ from .codes import EncodingError, multi_qubit_code, single_qubit_code
 from .model import AnyonModel, ConsistencyError, DEFAULT_TOLERANCE
 from .spaces import (
     Grouping,
+    _letter,
     _require_cover,
-    braid_generator,
-    composite_braid_generator,
+    _singletons,
     enumerate_basis,
-    inverse_braid_generator,
     regroup,
-    swap_blocks,
     swap_leaves,
 )
 
@@ -131,12 +129,6 @@ def distance(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 1.0 - abs(np.trace(U.conj().T @ V)) / n)))
 
 
-@cache
-def _singletons(strand_count: int) -> Grouping:
-    """The grouping with every strand a block of its own."""
-    return Grouping.of_sizes(*([1] * strand_count))
-
-
 def evaluate_tracked(model: AnyonModel, basis, word: BraidWord,
                      grouping: Grouping | None = None):
     """Product of composite generator matrices, applied letters[0] first.
@@ -144,7 +136,7 @@ def evaluate_tracked(model: AnyonModel, basis, word: BraidWord,
     Returns (matrix, final_leaves, final_grouping); the matrix maps the
     given basis to the basis over the final leaf arrangement, and belongs
     to the caller.  Each letter's matrix and end arrangement is built once
-    per symbol table (``model.symbols.steps``); a letter seen before costs
+    per symbol table (``spaces._letter``); a letter seen before costs
     one lookup and one matrix product.  ``grouping`` must cover the
     basis's strands; by default every strand is a block.
     """
@@ -154,31 +146,15 @@ def evaluate_tracked(model: AnyonModel, basis, word: BraidWord,
         _require_cover(grouping, basis)
     if word.strand_count != len(grouping.blocks):
         raise ValueError("word strand count does not match block count")
-    steps = model.symbols.steps
-    total = basis.total
     U = None
-    leaves = basis.leaves
-    g = grouping
+    leaves, g = basis.leaves, grouping
     for pos, exp in word.letters:
-        key = (leaves, total, g.blocks, pos, exp)
-        step = steps.get(key)
-        if step is None:
-            new_leaves, new_g = swap_blocks(leaves, g, pos)
-            if exp == 1:
-                M = composite_braid_generator(
-                    model, enumerate_basis(model, leaves, total), g, pos)
-            else:
-                fwd = composite_braid_generator(
-                    model, enumerate_basis(model, new_leaves, total), new_g, pos)
-                M = fwd.conj().T
-                M.setflags(write=False)
-            step = steps[key] = (M, new_leaves, new_g)
-        M, leaves, g = step
+        M, leaves, g = _letter(model, leaves, basis.total, g, pos, exp)
         U = M if U is None else M @ U
     if U is None:
         U = np.eye(basis.dim, dtype=np.complex128)
     elif len(word.letters) == 1:
-        U = U.copy()  # the shared, read-only step matrix
+        U = U.copy()  # the shared, read-only letter matrix
     return U, leaves, g
 
 
@@ -517,13 +493,11 @@ class _Problem:
 
     def transition(self, arr: tuple, pos: int, exp: int):
         """The arrangement after letter (pos, exp) from ``arr``, and the
-        letter's generator on each sector (built once per symbol table)."""
-        new_arr = swap_leaves(arr, pos)
-        step = braid_generator if exp == 1 else inverse_braid_generator
-        gens = tuple(step(self.model, enumerate_basis(
-                         self.model, tuple(sector[b] for b in arr), 0), pos)
+        letter's generator on each sector (``spaces._letter``, as ``_replay``)."""
+        gens = tuple(_letter(self.model, tuple(sector[b] for b in arr), 0,
+                             _singletons(self.block_count), pos, exp)[0]
                      for sector in self.sectors)
-        return new_arr, gens
+        return swap_leaves(arr, pos), gens
 
     def rows(self, states) -> tuple[np.ndarray, np.ndarray]:
         """(re, im), entry-major, of states given as per-sector matrices."""

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from anyonforge import (MAX_LEVEL, AnyonModel, SymbolCache, braid_generator,
                         enumerate_basis)
+from anyonforge import model as model_module
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -246,8 +247,8 @@ def _table_block(model, a, b, c, d):
 
 
 def test_precompute_leaves_the_lazy_f_cache_alone():
-    """``precompute`` builds the flat tables and memoizes every R symbol;
-    it neither adds nor replaces an F block in ``f_symbols``."""
+    """``precompute`` builds the flat tables; it neither adds nor replaces
+    an F block in ``f_symbols``."""
     model = AnyonModel(6)
     model.symbols = SymbolCache(6)
     block = model.f_symbol(2, 2, 2, 2)
@@ -256,9 +257,6 @@ def test_precompute_leaves_the_lazy_f_cache_alone():
     after = {key: id(value) for key, value in model.symbols.f_symbols.items()}
     assert after == before
     assert model.f_symbol(2, 2, 2, 2) is block
-    phases = {(a, b, c) for a in model.charges for b in model.charges
-              for c in model.fuse(a, b)}
-    assert set(model.symbols.r_symbols) == phases
     assert not model.symbols.f_table.values.flags.writeable
 
 
@@ -282,6 +280,18 @@ def test_corrupted_models_do_not_share_a_table():
     clean = AnyonModel(3).symbols
     assert len({id(first.symbols), id(second.symbols), id(clean)}) == 3
     assert _sigma2_defect(second) > 2 * _sigma2_defect(first)
+
+
+def test_second_model_of_a_level_builds_no_table(monkeypatch):
+    """A level's clean table is built once: a later model of that level
+    takes it and constructs no ``SymbolCache`` of its own."""
+    table = AnyonModel(3).symbols
+
+    def unexpected(k):
+        raise AssertionError("a model built a symbol table its level already has")
+
+    monkeypatch.setattr(model_module, "SymbolCache", unexpected)
+    assert AnyonModel(3).symbols is table
 
 
 def test_batched_f_table_keeps_a_damaged_block():
@@ -362,9 +372,10 @@ def _loop_tables(model):
     """Test-only oracle tables: every F and R symbol of the model, looked
     up by label tuple."""
     k = model.k
+    phases = {}
     for a, b in itertools.product(model.charges, repeat=2):
         for e in model.fuse(a, b):
-            model.r_symbol(a, b, e)
+            phases[(a, b, e)] = model.r_symbol(a, b, e)
             for c in model.charges:
                 for d in model.fuse(e, c):
                     model.f_symbol(a, b, c, d)
@@ -374,7 +385,7 @@ def _loop_tables(model):
         for i, e in enumerate(block.rows)
         for j, f in enumerate(block.cols)
     })
-    return F, _SparseTable(k, model.symbols.r_symbols)
+    return F, _SparseTable(k, phases)
 
 
 def _loop_hexagon(model, F, R):

@@ -24,6 +24,7 @@ from anyonforge import (
     synth,
 )
 from anyonforge import _frontier
+from anyonforge.model import SymbolCache
 import make_finish_goldens
 from make_search_goldens import GOLDENS, record, run_case
 
@@ -374,13 +375,29 @@ def test_batch_splits_do_not_change_results(monkeypatch):
         assert [r[:4] for r in split.stats.rows] == [r[:4] for r in want.stats.rows]
 
 
+@pytest.mark.parametrize("name", ["P", "E"])
+def test_walk_and_replay_share_letters(name):
+    """The walk's move table and ``_replay`` read the same letters, so
+    replaying the walk's winner builds none."""
+    model = AnyonModel(3)
+    model.symbols = SymbolCache(3)
+    problem = synth._Problem(model, _target(model, name))
+    walk = _frontier._Walk(problem, 10)
+    root = walk.root()
+    walk.keep(0, root)
+    walk.descend(root, 0, 10)
+    built = len(model.symbols.steps)
+    synth._replay(problem, walk.best[1])
+    assert len(model.symbols.steps) == built
+
+
 def test_search_working_memory_is_bounded():
     """Batches of at most ``_BATCH_NODES`` children bound the search's own
     allocations, as in ``test_pentagon_working_memory_is_bounded``:
     measured 2.8 MB for a one-worker NOT search at k=3, L=20."""
     model = AnyonModel(3)
     target = _target(model, "NOT")
-    search(model, target, 6)  # symbols and generators, outside the count
+    search(model, target, 6)  # symbols and letters, outside the count
     tracemalloc.start()
     try:
         search(model, target, 20)

@@ -19,6 +19,7 @@ from anyonforge import (
     regroup,
     swap_leaves,
 )
+from anyonforge.model import SymbolCache
 from anyonforge.spaces import _absorb, swap_blocks
 
 
@@ -108,6 +109,36 @@ def test_inverse_generator_inverts(model3):
         forward = braid_generator(model3, basis, pos)
         backward = inverse_braid_generator(model3, basis, pos)
         assert np.allclose(backward @ forward, np.eye(basis.dim), atol=1e-12)
+
+
+def test_inverse_generator_is_the_read_only_adjoint(model3):
+    basis = enumerate_basis(model3, (1, 2, 1, 1), 1)
+    for pos in (1, 2, 3):
+        swapped = enumerate_basis(model3, swap_leaves(basis.leaves, pos), basis.total)
+        backward = inverse_braid_generator(model3, basis, pos)
+        assert not backward.flags.writeable
+        assert backward.tobytes() == braid_generator(model3, swapped, pos).conj().T.tobytes()
+
+
+@pytest.mark.parametrize("build", ["swap_leaves", "braid_generator",
+                                   "inverse_braid_generator", "composite_braid_generator"])
+@pytest.mark.parametrize("position", [0, 4, 5])
+def test_swap_position_outside_the_strands_is_refused(build, position):
+    """Four strands have exchanges at 1..3 only: every builder refuses
+    another position with ValueError and memoizes nothing."""
+    model = AnyonModel(3)
+    model.symbols = SymbolCache(3)
+    basis = enumerate_basis(model, (1, 1, 1, 1), 0)
+    calls = {
+        "swap_leaves": lambda: swap_leaves(basis.leaves, position),
+        "braid_generator": lambda: braid_generator(model, basis, position),
+        "inverse_braid_generator": lambda: inverse_braid_generator(model, basis, position),
+        "composite_braid_generator": lambda: composite_braid_generator(
+            model, basis, Grouping.of_sizes(1, 1, 1, 1), position),
+    }
+    with pytest.raises(ValueError, match=f"position {position} outside 1..3"):
+        calls[build]()
+    assert model.symbols.steps == {}
 
 
 def test_mixed_charges_map_between_bases(model8):
