@@ -37,7 +37,7 @@ __all__ = [
 
 
 def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value {x!r} has no canonical form")
     text = format(float(x), ".17g")
     # Normalize bare integers so 1.0 and 1 don't collide as "1".
@@ -46,8 +46,29 @@ def _format_float(x: float) -> str:
     return text
 
 
+def _scalar(obj) -> str:
+    """The text of a str, bool, None, int, complex or float, numpy scalars
+    included."""
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        z = complex(obj)
+        return f"[{_format_float(z.real)}, {_format_float(z.imag)}]"
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    raise TypeError(f"no canonical JSON form for {type(obj).__name__}")
+
+
 def _encode(obj, pieces: list, indent: int) -> None:
     pad = "  " * indent
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
             pieces.append("{}")
@@ -61,45 +82,18 @@ def _encode(obj, pieces: list, indent: int) -> None:
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            pieces.append("[]")
-            return
-        if all(type(x) is int for x in items):
-            pieces.append("[" + ", ".join(map(str, items)) + "]")
-            return
-        flat = all(isinstance(x, numbers.Number) for x in items)
-        if flat:
-            pieces.append("[")
-            for i, x in enumerate(items):
-                _encode(x, pieces, indent)
-                if i < len(items) - 1:
-                    pieces.append(", ")
-            pieces.append("]")
+        # A list of numbers only, the empty one too, takes one line.
+        if all(isinstance(x, numbers.Number) for x in obj):
+            pieces.append("[" + ", ".join(map(_scalar, obj)) + "]")
             return
         pieces.append("[\n")
-        for i, x in enumerate(items):
+        for i, x in enumerate(obj):
             pieces.append(pad + "  ")
             _encode(x, pieces, indent + 1)
-            pieces.append(",\n" if i < len(items) - 1 else "\n")
+            pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(pad + "]")
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        pieces.append("true" if obj else "false")
-    elif obj is None:
-        pieces.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        pieces.append(f"[{_format_float(z.real)}, {_format_float(z.imag)}]")
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(_format_float(float(obj)))
-    elif isinstance(obj, np.ndarray):
-        _encode(obj.tolist(), pieces, indent)
     else:
-        raise TypeError(f"no canonical JSON form for {type(obj).__name__}")
+        pieces.append(_scalar(obj))
 
 
 def canonical_dumps(payload) -> str:

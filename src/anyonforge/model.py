@@ -173,29 +173,33 @@ def _fan_out(k: int, columns: list, *pairs) -> list:
     return [col[row] for col in columns] + [lo[row] + 2 * step]
 
 
-def _pairs(keys: np.ndarray, right: np.ndarray):
-    """Join every left tree with every right tree of its key.  ``keys`` is
-    the key of every left tree, in runs; key i has ``right[i]`` right trees,
-    which lie in runs of the same key order.  Returns (key, left tree,
-    right tree) per pair."""
-    left_tree, place = _runs(right[keys])
-    key = keys[left_tree]
-    return key, left_tree, (np.cumsum(right) - right).astype(np.int32)[key] + place
+def _pairs(dims: np.ndarray):
+    """Join every left tree with every right tree of its key.  Key i has
+    ``dims[i]`` left trees and as many right trees, each kind in runs of
+    the same key order.  Returns (key, left tree, right tree) per pair,
+    key by key, each left tree with every right tree in turn."""
+    key, place = _runs(dims * dims)
+    first, dim = (np.cumsum(dims) - dims).astype(np.int32)[key], dims[key]
+    return key, first + place // dim, first + place % dim
 
 
-def _batches(left: np.ndarray, right: np.ndarray):
-    """The keys (flat indices) with left trees, ascending, with their right
-    tree counts, in batches that pair at most ``_BATCH_ROWS`` trees in all
-    (a single key over the budget makes a batch of its own)."""
-    keys = np.flatnonzero(left).astype(np.int32)
-    left, right = left[keys], right[keys]
-    ends = np.cumsum(left.astype(np.int64) * right)
+def _batches(dims: np.ndarray):
+    """The keys of the nonzero entries of the dimension tensor ``dims``,
+    ascending, in batches that pair at most ``_BATCH_ROWS`` trees in all
+    (dims**2 per key; a single key over the budget makes a batch of its
+    own).  Yields each batch's dimensions and its int32 label arrays, one
+    per axis of ``dims``."""
+    keys = np.flatnonzero(dims).astype(np.int32)
+    sizes = dims.ravel()[keys]
+    ends = sizes.astype(np.int64) ** 2
+    np.cumsum(ends, out=ends)
     start = 0
     while start < len(keys):
         done = ends[start - 1] if start else 0
         stop = int(np.searchsorted(ends, done + _BATCH_ROWS, side="right"))
         stop = max(stop, start + 1)
-        yield keys[start:stop], right[start:stop]
+        labels = np.unravel_index(keys[start:stop], dims.shape)
+        yield sizes[start:stop].astype(np.int32), [v.astype(np.int32) for v in labels]
         start = stop
 
 
@@ -213,12 +217,14 @@ class _FTable:
     int16 index entries (``MAX_LEVEL`` keeps them within int32).
     """
 
-    def __init__(self, k: int, at, size, e0, f0, entries, blocks: dict):
-        # Per block: its position (int64), size (square; at most k/2 + 1,
-        # so int16 products cannot wrap), first row and column channel
-        # (channels step by 2); then all entries, each block row-major.
-        # Each ``FMatrix`` of ``blocks`` then takes over its own entries.
+    def __init__(self, k: int, a, b, c, d, size, entries, blocks: dict):
+        # Per block: its labels and size (square); then all entries, each
+        # block row-major.  Each ``FMatrix`` of ``blocks`` then takes over
+        # its own entries.  Rows and columns start at the first channel and
+        # step by 2.
         n = self.n = k + 1
+        at = self.at(a, b, c, d)
+        e0, f0 = _span(k, (a, b), (c, d))[0], _span(k, (b, c), (a, d))[0]
         stride = size + 1
         block, i = _runs(size)
         starts = (n + 1 + np.cumsum(size * stride) - size * stride)[block] \
@@ -319,15 +325,9 @@ class AnyonModel:
 
     def _six_j(self, a: int, b: int, e: int, c: int, d: int, f: int) -> float:
         """q-deformed {a/2 b/2 e/2; c/2 d/2 f/2}, twice-spin arguments that
-        are known to be charges."""
-        k = self.k
-        if not (
-            _can_fuse(k, a, b, e)
-            and _can_fuse(k, a, d, f)
-            and _can_fuse(k, c, b, f)
-            and _can_fuse(k, c, d, e)
-        ):
-            return 0.0
+        are known to be charges whose four triads (a, b, e), (a, d, f),
+        (c, b, f) and (c, d, e) are admissible: ``f_symbol`` asks only for
+        the rows and columns of a block, which all are."""
         triads = [(a + b + e) // 2, (a + d + f) // 2, (c + b + f) // 2, (c + d + e) // 2]
         quads = [(a + b + c + d) // 2, (a + e + c + f) // 2, (b + e + d + f) // 2]
         fact = self._qfact
@@ -429,18 +429,14 @@ class AnyonModel:
         """
         table = self.symbols.f_table
         if table is None:
-            k, n = self.k, self.k + 1
+            k = self.k
             N = _fusion_counts(k)
             # Rows e of block (a, b, c, d) run over fuse(a, b) and fuse(c, d),
             # columns f over fuse(b, c) and fuse(a, d); both counts are the
             # block's dimension.
-            size = np.einsum("abe,ecd->abcd", N, N).ravel()
-            parts = []
-            for keys, sizes in _batches(size, size):
-                a, b, c, d = (v.astype(np.int32) for v in np.unravel_index(keys, (n,) * 4))
-                parts.append((keys.astype(np.int64) * n, sizes,
-                              _span(k, (a, b), (c, d))[0], _span(k, (b, c), (a, d))[0],
-                              self._f_entries(a, b, c, d)))
+            size = np.einsum("abe,ecd->abcd", N, N)
+            parts = [(a, b, c, d, sizes, self._f_entries(a, b, c, d))
+                     for sizes, (a, b, c, d) in _batches(size)]
             table = _FTable(k, *map(np.concatenate, zip(*parts)), self.symbols.f_symbols)
             self.symbols.f_table = table
         return table
@@ -503,30 +499,31 @@ class AnyonModel:
 
             F(x,c,d,t)[y,z] * F(a,b,z,t)[x,u]
               = sum_w F(a,b,c,y)[x,w] * F(a,w,d,t)[y,u] * F(b,c,d,u)[w,z]
+
+        Either side can be nonzero only where both end trees
+        (((ab)^x c)^y d)^t and (a (b (cd)^z)^u)^t are admissible, so every
+        left tree of (a, b, c, d, t) is paired with every right tree of it.
+        The two kinds are two bases of one fusion space, so one (k+1)^5
+        int16 count of the left trees is the dimension of both.
         """
         F = self._f_table()
         k, n = self.k, self.k + 1
         N = _fusion_counts(k)
-        # Either side can be nonzero only where both end trees
-        # (((ab)^x c)^y d)^t and (a (b (cd)^z)^u)^t are admissible: every
-        # left tree of (a, b, c, d, t) meets every right tree of it.
-        left = np.einsum("abx,xcy,ydt->abcdt", N, N, N, optimize=True).ravel()
-        right = np.einsum("cdz,bzu,aut->abcdt", N, N, N, optimize=True).ravel()
+        dims = np.einsum("abx,xcy,ydt->abcdt", N, N, N, optimize=True)
         worst = 0.0
-        for keys, nr in _batches(left, right):
-            a, b, c, d, t = (v.astype(np.int32) for v in np.unravel_index(keys, (n,) * 5))
+        for dim, (a, b, c, d, t) in _batches(dims):
             # w runs over fuse(b, c).  Keys with more w channels come first,
             # so the rows that take the j-th w term are always a prefix.
             low, count = _span(k, (b, c))
             order = np.argsort(-count, kind="stable")
-            nr, a, b, c, d, t, low, count = (
-                v[order] for v in (nr, a, b, c, d, t, low, count))
-            own = np.arange(len(keys), dtype=np.int32)
+            dim, a, b, c, d, t, low, count = (
+                v[order] for v in (dim, a, b, c, d, t, low, count))
+            own = np.arange(len(a), dtype=np.int32)
             lkey, x = _fan_out(k, [own], (a, b))
-            lkey, x, y = _fan_out(k, [lkey, x], (x, c[lkey]), (d[lkey], t[lkey]))
+            _, x, y = _fan_out(k, [lkey, x], (x, c[lkey]), (d[lkey], t[lkey]))
             rkey, z = _fan_out(k, [own], (c, d))
-            rkey, z, u = _fan_out(k, [rkey, z], (b[rkey], z), (a[rkey], t[rkey]))
-            key, lt, rt = _pairs(lkey, nr)
+            _, z, u = _fan_out(k, [rkey, z], (b[rkey], z), (a[rkey], t[rkey]))
+            key, lt, rt = _pairs(dim)
             x, y, z, u = x[lt], y[lt], z[rt], u[rt]
             # Block positions of F(x,c,d,t), F(a,b,z,t), F(a,b,c,y),
             # F(b,c,d,u), and of F(a,w,d,t) less its w part.
@@ -560,26 +557,26 @@ class AnyonModel:
         One pass checks both chiralities: every F is a real float64, a
         damaged one too, so the clockwise identity (every r conjugated) is
         the exact complex conjugate of this one, with equal residuals.
+        Either side can be nonzero only where the trees (a c)^e b -> d and
+        a (b c)^g -> d are admissible; both kinds are bases of the fusion
+        space of a, b, c with total d, so both are counted by the F table's
+        (k+1)^4 block sizes.
         """
         F = self._f_table()
         R = self._r_table()
         k, n = self.k, self.k + 1
         N = _fusion_counts(k)
-        # Either side can be nonzero only where (a c)^e b -> d and
-        # a (b c)^g -> d are admissible.
-        left = np.einsum("ace,ebd->abcd", N, N).ravel()
-        right = np.einsum("bcg,agd->abcd", N, N).ravel()
+        dims = np.einsum("abe,ecd->abcd", N, N)
         worst = 0.0
-        for keys, nr in _batches(left, right):
-            a, b, c, d = (v.astype(np.int32) for v in np.unravel_index(keys, (n,) * 4))
+        for dim, (a, b, c, d) in _batches(dims):
             # f runs over fuse(a, b); keys with more f channels come first.
             low, count = _span(k, (a, b))
             order = np.argsort(-count, kind="stable")
-            nr, a, b, c, d, low, count = (v[order] for v in (nr, a, b, c, d, low, count))
-            own = np.arange(len(keys), dtype=np.int32)
-            lkey, e = _fan_out(k, [own], (a, c), (b, d))
-            rkey, g = _fan_out(k, [own], (b, c), (a, d))
-            key, lt, rt = _pairs(lkey, nr)
+            dim, a, b, c, d, low, count = (v[order] for v in (dim, a, b, c, d, low, count))
+            own = np.arange(len(a), dtype=np.int32)
+            _, e = _fan_out(k, [own], (a, c), (b, d))
+            _, g = _fan_out(k, [own], (b, c), (a, d))
+            key, lt, rt = _pairs(dim)
             e, g = e[lt], g[rt]
             acbd = F.at(a, c, b, d)[key]
             cabd, abcd = F.at(c, a, b, d)[key], F.at(a, b, c, d)[key]

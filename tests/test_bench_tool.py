@@ -1,6 +1,8 @@
 """The summary of the paired benchmark tool (``tools/bench.py``)."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -21,3 +23,26 @@ def test_summary_of_fixed_pairs():
     assert bench.summarize(pairs, "higher")["head_won"] == 1
     with pytest.raises(ValueError):
         bench.summarize(pairs[:1], "lower")
+
+
+@pytest.mark.parametrize("last_line", ["warning: a late message", "[1, 2]"])
+def test_unreadable_run_result_fails_like_a_failed_run(last_line, tmp_path, monkeypatch,
+                                                       capsys):
+    """A run that exits 0 but whose last stdout line is no JSON object is
+    reported with an ``error:`` line and exit 1, and no file is written."""
+    def export(tree, directory):
+        directory.mkdir()
+        spec = {"run_seconds": 1, "workloads": [{"name": "w"}],
+                "end_to_end": [{"name": "run_s", "unit": "s", "better": "lower"}]}
+        (directory / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def run(cmd, **kwargs):
+        stdout = "tree\n" if cmd[0] == "git" else f'{{"correct": true}}\n{last_line}\n'
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench, "_export", export)
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--pairs", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

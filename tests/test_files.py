@@ -69,13 +69,20 @@ def test_canonical_dumps_is_valid_json():
 
 
 def test_canonical_dumps_flat_list_layout():
-    """Lists of plain ints, and lists holding bools, numpy ints or floats,
-    share one layout."""
+    """Lists and tuples of numbers only (plain ints, bools, numpy scalars,
+    floats, complex numbers; the empty one too) share one layout; an
+    ndarray is written as its nested lists."""
     payload = {"ints": [3, -1, 0], "bools": [1, True], "mixed": [np.int64(2), 1.0],
-               "word": [[1, 1], [2, -1]]}
+               "word": [[1, 1], [2, -1]],
+               "numbers": [0.5, np.float64(-2.0), 1j, np.complex128(1 - 0.25j)],
+               "empty": [], "pair": (1, 2.5),
+               "nested": {"m": np.array([[1.0, 0.0], [0.5, -1.0]])}}
     assert canonical_dumps(payload) == (
         '{\n  "ints": [3, -1, 0],\n  "bools": [1, true],\n  "mixed": [2, 1.0],\n'
-        '  "word": [\n    [1, 1],\n    [2, -1]\n  ]\n}\n')
+        '  "word": [\n    [1, 1],\n    [2, -1]\n  ],\n'
+        '  "numbers": [0.5, -2.0, [0.0, 1.0], [1.0, -0.25]],\n'
+        '  "empty": [],\n  "pair": [1, 2.5],\n'
+        '  "nested": {\n    "m": [\n      [1.0, 0.0],\n      [0.5, -1.0]\n    ]\n  }\n}\n')
 
 
 # --- braid files ---------------------------------------------------------

@@ -487,11 +487,13 @@ def test_corrupted_model_builds_its_own_flat_table():
     assert own.values[changed[0]] == table.values[changed[0]] + 1e-2
 
 
-def test_pentagon_working_memory_is_bounded():
-    """Row batches of fixed size bound the check's own allocations at any
-    level: measured 2.8 MB at k=10, against 4.0 MB for the per-triple
+@pytest.mark.parametrize("k, bound", [(10, 3.5e6), (12, 4.7e6)])
+def test_pentagon_working_memory_is_bounded(k, bound):
+    """Row batches of fixed size bound the check's own allocations; around
+    them it keeps one (k+1)^5 int16 count of the trees.  Measured 2.4 MB
+    at k=10 and 4.2 MB at k=12, against 4.0 MB at k=10 for the per-triple
     loops that built a sorted copy of every coefficient per call."""
-    model = AnyonModel(10)
+    model = AnyonModel(k)
     model.precompute()
     tracemalloc.start()
     try:
@@ -499,7 +501,24 @@ def test_pentagon_working_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5e6
+    assert peak < bound
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_left_and_right_trees_count_one_fusion_space(k):
+    """Left trees and right trees are two bases of one fusion space, so
+    the checks count each space once: the pentagon's two end trees agree
+    for every (a, b, c, d, t), and the hexagon's two trees agree with the
+    F table's block sizes for every (a, b, c, d)."""
+    model = AnyonModel(k)
+    N = np.array([[[model.can_fuse(a, b, c) for c in model.charges]
+                   for b in model.charges] for a in model.charges], dtype=np.int16)
+    left = np.einsum("abx,xcy,ydt->abcdt", N, N, N, optimize=True)
+    right = np.einsum("cdz,bzu,aut->abcdt", N, N, N, optimize=True)
+    assert np.array_equal(left, right)
+    blocks = np.einsum("abe,ecd->abcd", N, N)
+    assert np.array_equal(np.einsum("ace,ebd->abcd", N, N), blocks)
+    assert np.array_equal(np.einsum("bcg,agd->abcd", N, N), blocks)
 
 
 # --- the Racah internals against the f_symbol they replaced ------------------

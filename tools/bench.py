@@ -8,8 +8,9 @@ staged, uncommitted changes are measured against the last commit.  For
 every workload that the head's ``BENCHMARK.json`` names, each pair runs
 ``perfbench/run.py --workload W --seed 1 --seconds T --trace 0`` once per
 side, unchanged, with T the file's ``run_seconds``, and alternates which
-side runs first.  A run that exits non-zero or whose result is not
-``correct`` stops the tool with exit 1 and no file written.
+side runs first.  A run that exits non-zero, whose last stdout line is no
+JSON object, or whose result is not ``correct`` stops the tool with exit 1
+and no file written.
 
 The output file records the machine (CPU count, Python, numpy, load at the
 start), both tree ids and the settings, and per workload and end-to-end
@@ -66,14 +67,18 @@ def _export(tree: str, directory: Path) -> None:
 
 def _run(root: Path, workload: str, seconds: float) -> dict:
     """One untraced ``perfbench/run.py`` run of a side; its end-to-end
-    metric values.  A failed or incorrect run raises ``RuntimeError``."""
+    metric values.  A failed or incorrect run, or one whose last stdout
+    line is no JSON object, raises ``RuntimeError``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
-    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
-    if not result.get("correct"):
+    try:
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
+    except json.JSONDecodeError:
+        result = {}
+    if not isinstance(result, dict) or not result.get("correct"):
         raise RuntimeError(f"{root.name} {workload}: exit {proc.returncode}\n"
                            f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
