@@ -82,7 +82,23 @@ class CodeSpace:
         return code_frame_matrix[np.ix_(idx, idx)]
 
 
-def _build_code(model: AnyonModel, a: int, b: int, n: int) -> CodeSpace:
+def single_qubit_code(model: AnyonModel,
+                      charges: tuple[int, int] = (1, 1)) -> CodeSpace:
+    """One qubit in four anyons (a, b, b, a) with total charge 0.
+
+    This space also carries the three-anyon sparse scheme: the trailing a
+    is a spectator no braid touches, so dropping it changes bookkeeping
+    only.
+    """
+    return multi_qubit_code(model, 1, charges)
+
+
+def multi_qubit_code(model: AnyonModel, n: int,
+                     charges: tuple[int, int] = (1, 1)) -> CodeSpace:
+    """n qubits in 2n+2 anyons (a, b...b, a) with total charge 0."""
+    if n < 1:
+        raise ValueError("qubit count must be at least 1")
+    a, b = map(model.check_charge, charges)
     if 2 not in model.fuse(b, b):
         raise EncodingError(
             f"charge {b} pairs cannot carry a qubit: fuse({b},{b}) = {model.fuse(b, b)}"
@@ -116,27 +132,6 @@ def _build_code(model: AnyonModel, a: int, b: int, n: int) -> CodeSpace:
         computational=tuple(computational),
         non_computational=tuple(non_computational),
     )
-
-
-def single_qubit_code(model: AnyonModel,
-                      charges: tuple[int, int] = (1, 1)) -> CodeSpace:
-    """One qubit in four anyons (a, b, b, a) with total charge 0.
-
-    This space also carries the three-anyon sparse scheme: the trailing a
-    is a spectator no braid touches, so dropping it changes bookkeeping
-    only.
-    """
-    a, b = charges
-    return _build_code(model, model.check_charge(a), model.check_charge(b), 1)
-
-
-def multi_qubit_code(model: AnyonModel, n: int,
-                     charges: tuple[int, int] = (1, 1)) -> CodeSpace:
-    """n qubits in 2n+2 anyons (a, b...b, a) with total charge 0."""
-    if n < 1:
-        raise ValueError("qubit count must be at least 1")
-    a, b = charges
-    return _build_code(model, model.check_charge(a), model.check_charge(b), n)
 
 
 def leakage(U: np.ndarray, code: CodeSpace) -> float:

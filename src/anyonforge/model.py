@@ -85,11 +85,11 @@ class FMatrix:
 class SymbolCache:
     """One level's symbol table and everything derived from it.
 
-    Holds the memoized F symbols, the flat F and R tables the pentagon and
-    hexagon checks read (``f_table``, ``r_table``: built once, on first
-    use; building ``f_table`` evaluates every F block in one batched pass
-    and leaves ``f_symbols`` to ``AnyonModel.f_symbol``, but takes every
-    block already there, a damaged one among them), the fusion bases built
+    Holds the memoized F symbols, the flat F table the pentagon and
+    hexagon checks read (``f_table``: built once, on first use; building
+    it evaluates every F block in one batched pass and leaves
+    ``f_symbols`` to ``AnyonModel.f_symbol``, but takes every block
+    already there, a damaged one among them), the fusion bases built
     by ``spaces.enumerate_basis``, the exchange blocks read by
     ``spaces.braid_generator``, the regrouped frames built by
     ``spaces.regroup`` and the braid letters built by ``spaces._letter``.
@@ -109,7 +109,6 @@ class SymbolCache:
         self.k = k
         self.f_symbols: dict[tuple[int, int, int, int], FMatrix] = {}
         self.f_table: _FTable | None = None
-        self.r_table: np.ndarray | None = None
         self.bases: dict = {}
         self.exchanges: dict = {}
         self.frames: dict = {}
@@ -280,7 +279,9 @@ class AnyonModel:
         return f"AnyonModel(k={self.k})"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, AnyonModel) and other.k == self.k
+        # Equal models read one symbol table: every clean model of a level
+        # shares it, and a damaged model works on its own copy.
+        return isinstance(other, AnyonModel) and other.symbols is self.symbols
 
     def __hash__(self) -> int:
         return hash(("su2k", self.k))
@@ -412,11 +413,10 @@ class AnyonModel:
         self.symbols = table
 
     def precompute(self) -> None:
-        """Build the flat F and R tables the consistency checks read into
-        the symbol table (no R symbol is memoized; F blocks stay with
-        ``f_symbol``, which builds them on demand)."""
+        """Build the flat F table the consistency checks read into the
+        symbol table (F blocks stay with ``f_symbol``, which builds them on
+        demand)."""
         self._f_table()
-        self._r_table()
 
     def _f_table(self) -> _FTable:
         """The symbol table's flat F table, built on first use.
@@ -476,19 +476,6 @@ class AnyonModel:
         six_j = (total * triangle(a, b, e) * triangle(a, d, f) * triangle(c, b, f)
                  * triangle(c, d, e))
         return sign * scale * six_j
-
-    def _r_table(self) -> np.ndarray:
-        """Every R symbol, flat at ``(a*n + b)*n + c`` (n = k + 1); 0 where c
-        is no channel of a x b.  Built on first use."""
-        table = self.symbols.r_table
-        if table is None:
-            n = self.k + 1
-            table = np.zeros(n ** 3, dtype=np.complex128)
-            for a, b, c in np.argwhere(_fusion_counts(self.k)).tolist():
-                table[(a * n + b) * n + c] = self.r_symbol(a, b, c)
-            table.setflags(write=False)
-            self.symbols.r_table = table
-        return table
 
     # -- consistency checks -------------------------------------------------
 
@@ -563,9 +550,13 @@ class AnyonModel:
         (k+1)^4 block sizes.
         """
         F = self._f_table()
-        R = self._r_table()
         k, n = self.k, self.k + 1
         N = _fusion_counts(k)
+        # Every R symbol, flat at (a*n + b)*n + c; 0 where c is no channel
+        # of a x b.
+        R = np.zeros(n ** 3, dtype=np.complex128)
+        for a, b, c in np.argwhere(N).tolist():
+            R[(a * n + b) * n + c] = self.r_symbol(a, b, c)
         dims = np.einsum("abe,ecd->abcd", N, N)
         worst = 0.0
         for dim, (a, b, c, d) in _batches(dims):

@@ -1,6 +1,8 @@
 """Assembled logical gates: composition bounds, phase bookkeeping, negative
 controls, and the register merge/split conversion."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,50 @@ def test_assembly_rejects_wrong_level(model2, model3):
     p2 = search(model2, make_target_P(model2), 2)
     with pytest.raises(AssemblyError):
         assemble_controlled_phase(model3, p2)
+
+
+def _stub(target, letters=()):
+    """A hand-built component: ``letters`` on ``target``, scored nothing."""
+    return SynthesisResult(target=target, braid=BraidWord(target.block_count, letters),
+                           distance=0.0, leakage=0.0, converged=False, stats=None)
+
+
+_FACTORIES = {"P": make_target_P, "B1": make_target_B1, "B3": make_target_B3,
+              "E": make_target_E}
+# Letters that end on each slot's arrangement: identity for P, B1 and B3;
+# the singleton moved past the second register for E.
+_HOME = {"P": (), "B1": (), "B3": (), "E": ((2, 1),)}
+
+
+def _assemble(model, gate, parts):
+    if gate == "cz":
+        return assemble_controlled_phase(model, parts["P"])
+    if gate == "ccz":
+        return assemble_ccz(model, parts["B1"], parts["P"], parts["B3"])
+    return convert_registers(model, "merge", parts["E"])
+
+
+@pytest.mark.parametrize("case", ["level", "blocks", "arrangement"])
+@pytest.mark.parametrize("gate, slot", [("cz", "P"), ("ccz", "B1"), ("ccz", "P"),
+                                        ("ccz", "B3"), ("convert", "E")])
+def test_every_slot_refuses_a_foreign_component(model3, gate, slot, case):
+    """Each slot checks its component against the built-in target that
+    builds it: level, leaves and blocks, and the arrangement the braid ends
+    on.  The refusal names the slot."""
+    parts = {name: _stub(factory(model3), _HOME[name])
+             for name, factory in _FACTORIES.items()}
+    _assemble(model3, gate, parts)  # the well-formed stubs assemble
+    own = parts[slot].target
+    if case == "level":
+        parts[slot] = _stub(_FACTORIES[slot](AnyonModel(4)), _HOME[slot])
+    elif case == "blocks":
+        sizes = (3, 3, 1, 1) if slot == "E" else (2, 2, 1, 1)
+        parts[slot] = _stub(replace(own, blocks=Grouping.of_sizes(*sizes).blocks),
+                            _HOME[slot])
+    else:
+        parts[slot] = _stub(own, () if slot == "E" else ((1, 1),))
+    with pytest.raises(AssemblyError, match=f"^{slot}: "):
+        _assemble(model3, gate, parts)
 
 
 def test_convert_directions(model3, parts3):

@@ -247,7 +247,7 @@ def _table_block(model, a, b, c, d):
 
 
 def test_precompute_leaves_the_lazy_f_cache_alone():
-    """``precompute`` builds the flat tables; it neither adds nor replaces
+    """``precompute`` builds the flat F table; it neither adds nor replaces
     an F block in ``f_symbols``."""
     model = AnyonModel(6)
     model.symbols = SymbolCache(6)
@@ -271,6 +271,16 @@ def test_corruption_does_not_leak_into_fresh_models():
     broken.corrupt_f_symbol(1, 1, 1, 1)
     assert _sigma2_defect(broken) > 1e-3
     assert _sigma2_defect(AnyonModel(3)) < 1e-12
+
+
+def test_models_are_equal_only_when_they_read_one_table():
+    clean, other, damaged = AnyonModel(3), AnyonModel(3), AnyonModel(3)
+    damaged.corrupt_f_symbol(1, 1, 1, 1)
+    assert clean == other and hash(clean) == hash(other)
+    assert damaged != clean and damaged == damaged
+    assert hash(damaged) == hash(clean)
+    assert len({clean, other, damaged}) == 2
+    assert AnyonModel(4) != clean
 
 
 def test_corrupted_models_do_not_share_a_table():
