@@ -1,128 +1,18 @@
-"""anyonforge: SU(2)_k fusion spaces, braid representations, and gate synthesis."""
+"""anyonforge: SU(2)_k fusion spaces, braid representations, and gate synthesis.
 
-from .model import (
-    AnyonModel,
-    ConsistencyError,
-    DEFAULT_TOLERANCE,
-    FMatrix,
-    MAX_LEVEL,
-    SymbolCache,
-)
-from .spaces import (
-    FusionBasis,
-    GroupedBasis,
-    GroupedLabel,
-    Grouping,
-    braid_generator,
-    composite_braid_generator,
-    enumerate_basis,
-    inverse_braid_generator,
-    regroup,
-    swap_leaves,
-)
-from .codes import (
-    CodeSpace,
-    EncodingError,
-    leakage,
-    multi_qubit_code,
-    single_qubit_code,
-)
-from .synth import (
-    BraidWord,
-    ColumnRule,
-    MatrixRule,
-    PhaseRule,
-    SearchStats,
-    SynthesisResult,
-    SynthesisTarget,
-    distance,
-    evaluate,
-    evaluate_tracked,
-    exchange_counts,
-    make_target_B1,
-    make_target_B3,
-    make_target_E,
-    make_target_P,
-    make_target_unitary,
-    score_braid,
-    search,
-    verify_braid_relations,
-)
-from .assemble import (
-    AssemblyError,
-    GateReport,
-    assemble_ccz,
-    assemble_controlled_phase,
-    braid_length_total,
-    convert_registers,
-)
-from .files import (
-    braid_payload,
-    canonical_dumps,
-    curve_csv,
-    read_braid_file,
-    result_from_payload,
-    target_from_payload,
-    write_braid_file,
-    write_curve_csv,
-)
+The package re-exports every name in its modules' ``__all__``; those lists
+are the public surface.
+"""
+
+from . import model, spaces, codes, synth, assemble, files
+from .model import *
+from .spaces import *
+from .codes import *
+from .synth import *
+from .assemble import *
+from .files import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnyonModel",
-    "AssemblyError",
-    "BraidWord",
-    "CodeSpace",
-    "ColumnRule",
-    "ConsistencyError",
-    "DEFAULT_TOLERANCE",
-    "EncodingError",
-    "FMatrix",
-    "FusionBasis",
-    "GateReport",
-    "GroupedBasis",
-    "GroupedLabel",
-    "Grouping",
-    "MAX_LEVEL",
-    "MatrixRule",
-    "PhaseRule",
-    "SearchStats",
-    "SymbolCache",
-    "SynthesisResult",
-    "SynthesisTarget",
-    "assemble_ccz",
-    "assemble_controlled_phase",
-    "braid_generator",
-    "braid_length_total",
-    "braid_payload",
-    "canonical_dumps",
-    "composite_braid_generator",
-    "convert_registers",
-    "curve_csv",
-    "distance",
-    "enumerate_basis",
-    "evaluate",
-    "evaluate_tracked",
-    "exchange_counts",
-    "inverse_braid_generator",
-    "leakage",
-    "make_target_B1",
-    "make_target_B3",
-    "make_target_E",
-    "make_target_P",
-    "make_target_unitary",
-    "multi_qubit_code",
-    "read_braid_file",
-    "result_from_payload",
-    "target_from_payload",
-    "regroup",
-    "score_braid",
-    "search",
-    "single_qubit_code",
-    "swap_leaves",
-    "verify_braid_relations",
-    "write_braid_file",
-    "write_curve_csv",
-    "__version__",
-]
+__all__ = [*model.__all__, *spaces.__all__, *codes.__all__, *synth.__all__,
+           *assemble.__all__, *files.__all__, "__version__"]

@@ -25,7 +25,7 @@ from .codes import CodeSpace, leakage as code_leakage, multi_qubit_code, single_
 from .model import AnyonModel
 from .spaces import Grouping, enumerate_basis
 from .synth import (BraidWord, SynthesisResult, SynthesisTarget, distance,
-                    evaluate, make_target_E, make_target_P)
+                    evaluate, exchange_counts, make_target_E, make_target_P)
 
 __all__ = [
     "AssemblyError",
@@ -67,16 +67,13 @@ class GateReport:
 
 
 def braid_length_total(word: BraidWord, grouping: Grouping) -> int:
-    """Elementary strand crossings performed by a block-level word."""
+    """Elementary strand crossings performed by a block-level word: each
+    exchange of blocks a and b crosses |a| * |b| strand pairs."""
     if word.strand_count != len(grouping.blocks):
         raise AssemblyError("word strand count does not match block count")
     sizes = [len(block) for block in grouping.blocks]
-    total = 0
-    for pos, _ in word.letters:
-        i = pos - 1
-        total += sizes[i] * sizes[i + 1]
-        sizes[i], sizes[i + 1] = sizes[i + 1], sizes[i]
-    return total
+    return sum(pair["total"] * sizes[a - 1] * sizes[b - 1]
+               for (a, b), pair in exchange_counts(word, grouping).items())
 
 
 def _expect_component(result: SynthesisResult, reference: SynthesisTarget,

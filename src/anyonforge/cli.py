@@ -373,8 +373,10 @@ def _build_parser() -> _Parser:
                      description="SU(2)_k anyon braid synthesis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, level=True, tol=False, formats=("json", "text")):
+    def command(name, run, summary, level=True, tol=False,
+                formats=("json", "text")):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         if level:
             p.add_argument("--k", type=int, required=True,
                            help=f"model level (2 <= k <= {MAX_LEVEL})")
@@ -387,51 +389,46 @@ def _build_parser() -> _Parser:
                            help="tolerance (default %(default)g)")
         return p
 
-    command("model", "charges, fusion table, dimensions")
+    command("model", cmd_model, "charges, fusion table, dimensions")
 
-    p_check = command("check", "pentagon/hexagon/braid suites", tol=True)
+    p_check = command("check", cmd_check, "pentagon/hexagon/braid suites", tol=True)
     p_check.add_argument("--debug-corrupt", action="store_true",
                          help="damage one F block first (must then fail)")
 
-    p_basis = command("basis", "fusion-tree basis listing")
+    p_basis = command("basis", cmd_basis, "fusion-tree basis listing")
     p_basis.add_argument("--leaves", type=str, default=None,
                          help="comma-separated spin labels, e.g. 1/2,1/2,1")
     p_basis.add_argument("--total", type=str, default="0",
                          help="total charge spin label (default 0)")
 
-    p_synth = command("synth", "search for a braid realizing a target", tol=True,
-                      formats=("json", "csv", "text"))
+    p_synth = command("synth", cmd_synth, "search for a braid realizing a target",
+                      tol=True, formats=("json", "csv", "text"))
     p_synth.add_argument("--target", type=str, required=True,
-                         help="P, B1, B3, E, or a single-qubit unitary JSON file")
+                         help=f"{', '.join(BUILTIN_TARGETS)}, or a single-qubit "
+                              "unitary JSON file")
     p_synth.add_argument("--max-length", type=int, default=8)
     p_synth.add_argument("--workers", type=int, default=1)
 
-    p_asm = command("assemble", "compose stored braids into a gate", level=False)
+    p_asm = command("assemble", cmd_assemble, "compose stored braids into a gate",
+                    level=False)
     p_asm.add_argument("--gate", choices=tuple(_GATE_COMPONENTS), required=True)
     p_asm.add_argument("--direction", choices=("merge", "split"), default=None)
+    gates = "; ".join(f"{gate}: {' '.join(ids)}"
+                      for gate, ids in _GATE_COMPONENTS.items())
     p_asm.add_argument("components", nargs="+", type=Path,
-                       help="braid JSON files (cz: P; ccz: B1 P B3; convert: E)")
+                       help=f"braid JSON files ({gates})")
 
-    p_verify = command("verify", "recompute a stored braid's numbers", level=False)
+    p_verify = command("verify", cmd_verify, "recompute a stored braid's numbers",
+                       level=False)
     p_verify.add_argument("braid", type=Path, help="braid JSON file")
     return parser
-
-
-_COMMANDS = {
-    "model": cmd_model,
-    "check": cmd_check,
-    "basis": cmd_basis,
-    "synth": cmd_synth,
-    "assemble": cmd_assemble,
-    "verify": cmd_verify,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

@@ -444,6 +444,8 @@ class _Problem:
     """
 
     def __init__(self, model: AnyonModel, target: SynthesisTarget):
+        if model.k != target.k:
+            raise ValueError(f"model k={model.k} does not match target k={target.k}")
         self.model = model
         self.target = target
         self.block_count = target.block_count
@@ -580,15 +582,13 @@ def search(model: AnyonModel, target: SynthesisTarget, max_length: int,
     re-verified on the full fusion space; it converged if its distance is
     <= ``tolerance``.
     """
-    if model.k != target.k:
-        raise ValueError(f"model k={model.k} does not match target k={target.k}")
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
     if not tolerance > 0:
         raise ValueError("tolerance must be a positive number")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    problem = _Problem(model, target)  # refuses a misfit rule before any walk
+    problem = _Problem(model, target)  # refuses a misfit level or rule before any walk
     # Loaded on the first search, so commands that run none skip it.
     from ._frontier import worker_job
 
@@ -631,8 +631,6 @@ def score_braid(model: AnyonModel, target: SynthesisTarget,
     product within 1e-12.
     Convergence is judged at ``DEFAULT_TOLERANCE``.
     """
-    if model.k != target.k:
-        raise ValueError(f"model k={model.k} does not match target k={target.k}")
     if braid.strand_count != target.block_count:
         raise ValueError("braid strand count does not match the block system")
     if braid.permutation() != target.final_arrangement:

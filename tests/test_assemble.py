@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonforge import (
     AnyonModel,
@@ -48,6 +50,32 @@ def test_braid_length_total_counts_crossings():
     # block of 1 through block of 2, then (sizes now swapped) 2 through 1
     assert braid_length_total(word, grouping) == 4
     assert braid_length_total(BraidWord(4, ()), grouping) == 0
+    with pytest.raises(AssemblyError, match="strand count"):
+        braid_length_total(BraidWord(3, ()), grouping)
+
+
+def _positional_crossings(word, grouping):
+    """Crossings counted position by position, swapping the block sizes
+    after each letter: the count ``braid_length_total`` gives by pair."""
+    sizes = [len(block) for block in grouping.blocks]
+    total = 0
+    for pos, _ in word.letters:
+        i = pos - 1
+        total += sizes[i] * sizes[i + 1]
+        sizes[i], sizes[i + 1] = sizes[i + 1], sizes[i]
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_braid_length_total_counts_each_pair_as_the_positional_walk(data):
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    letters = data.draw(st.lists(
+        st.tuples(st.integers(1, len(sizes) - 1), st.sampled_from([1, -1])),
+        max_size=20))
+    word = BraidWord.reduced(len(sizes), letters)
+    grouping = Grouping.of_sizes(*sizes)
+    assert braid_length_total(word, grouping) == _positional_crossings(word, grouping)
 
 
 def test_identity_phase_braid_gives_exact_cz_gap(model3):

@@ -48,7 +48,13 @@ def test_model_rejects_bad_level(capsys):
 
 def test_help_exits_cleanly(capsys):
     assert run(capsys, "--help")[0] == 0
-    assert run(capsys, "synth", "--help")[0] == 0
+
+
+@pytest.mark.parametrize("command", ["model", "check", "basis", "synth",
+                                     "assemble", "verify"])
+def test_every_command_prints_its_help(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0 and out.startswith(f"usage: anyonforge {command}")
 
 
 def test_unknown_command(capsys):

@@ -340,9 +340,20 @@ def test_rules_that_do_not_fit_are_refused_before_any_walk(monkeypatch):
             score_braid(model, target, word)
 
 
-def test_search_rejects_mismatched_model(model2, model3):
-    with pytest.raises(ValueError):
-        search(model2, make_target_P(model3), 2)
+def test_search_rejects_mismatched_model(monkeypatch, model2, model3):
+    """A model of another level than the target's is refused by ``search``
+    and ``score_braid`` alike, before a word is walked or scored."""
+    def refuse(*args):
+        raise AssertionError("a word was evaluated")
+
+    monkeypatch.setattr(_frontier, "worker_job", refuse)
+    monkeypatch.setattr(synth, "_replay", refuse)
+    target = make_target_P(model3)
+    message = "model k=2 does not match target k=3"
+    with pytest.raises(ValueError, match=message):
+        search(model2, target, 2)
+    with pytest.raises(ValueError, match=message):
+        score_braid(model2, target, BraidWord(4, ()))
 
 
 def test_weave_frontier_counts(model3):
