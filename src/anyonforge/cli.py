@@ -13,7 +13,7 @@ writable before any work) and ``--format`` (stdout as ``text`` or
 ``MAX_LEVEL``; ``assemble`` and ``verify`` take it from their braid files.
 ``--tol`` (``check``, ``synth``) must be finite and positive.  A command
 given a flag it does not read exits 1.  ``synth --workers N`` runs the
-search on ``min(N, cpu_count)`` processes.
+search as one share per usable CPU, at most N.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 search ran
 to its length budget without converging.  All machine output is canonical

@@ -23,8 +23,9 @@ unitaries).  The score of a word is the worst rule deviation.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -570,17 +571,87 @@ def _replay(problem: _Problem, letters: tuple) -> tuple:
                  for sector in problem.sectors)
 
 
+def _usable_cpus() -> list:
+    """The CPUs this process may run on, one search share each; a single
+    share where the platform cannot fork or pin."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
+        return [None]
+    return sorted(os.sched_getaffinity(0))
+
+
+def _run_shares(job, cpus: list) -> list:
+    """``job(share)`` for every share, in share order.  Share 0 runs on this
+    thread pinned to ``cpus[0]``; each other share runs in a forked child
+    pinned to its own CPU, which sends back its pickled outcome or
+    exception.  On every path the thread's CPU mask is restored and every
+    child is reaped."""
+    mask = os.sched_getaffinity(0)
+    children = []
+    try:
+        for share, cpu in enumerate(cpus[1:], 1):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _run_child(job, share, cpu, write)
+            os.close(write)
+            children.append((pid, read))
+        os.sched_setaffinity(0, {cpus[0]})
+        outcomes = [job(0)]
+        for share, (_, read) in enumerate(children, 1):
+            with os.fdopen(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise RuntimeError(f"search share {share} ended without a result")
+            outcome = pickle.loads(data)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            outcomes.append(outcome)
+        return outcomes
+    finally:
+        os.sched_setaffinity(0, mask)
+        for pid, read in children:
+            os.close(read)
+            # Stops a share still walking after an error; a child that has
+            # sent its outcome is leaving anyway.
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_child(job, share: int, cpu: int, write: int):
+    """A forked share's whole life: pin, walk, send, and leave without
+    running any of the parent's clean-up."""
+    status = 1
+    try:
+        try:
+            os.sched_setaffinity(0, {cpu})
+            outcome = job(share)
+        except Exception as exc:
+            outcome = exc
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def search(model: AnyonModel, target: SynthesisTarget, max_length: int,
            tolerance: float = DEFAULT_TOLERANCE, workers: int = 1) -> SynthesisResult:
     """Exhaustive enumeration of words up to ``max_length``, in one pass.
 
     Deterministic regardless of worker count: worker 0 walks the short
     words (the stub) with ``_Walk.descend``, the prefixes at a fixed depth
-    are dealt round-robin to ``min(workers, os.cpu_count())`` shares (share
-    0 in this process, each other one in a process of its own), and
-    results merge by (score, length, letter sequence).  The best word is
-    re-verified on the full fusion space; it converged if its distance is
-    <= ``tolerance``.
+    are dealt round-robin to one share per usable CPU, at most
+    ``workers`` (share 0 in this thread, each other one in a forked child;
+    each share pinned to its own CPU, and this thread's CPU mask restored
+    afterwards), and results merge by (score, length, letter sequence).
+    Without ``os.fork`` or ``os.sched_setaffinity`` there is one share.
+    The best word is re-verified on the full fusion space; it converged if
+    its distance is <= ``tolerance``.
     """
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
@@ -593,15 +664,9 @@ def search(model: AnyonModel, target: SynthesisTarget, max_length: int,
     from ._frontier import worker_job
 
     start = time.perf_counter()
-    shares = min(workers, os.cpu_count() or 1)
-    job = partial(worker_job, model.k, target, max_length, worker_count=shares)
-    if shares == 1:
-        outcomes = [job(0)]
-    else:
-        # map hands the pool its shares before share 0 runs here.
-        with ProcessPoolExecutor(max_workers=shares - 1) as pool:
-            others = pool.map(job, range(1, shares))
-            outcomes = [job(0), *others]
+    cpus = _usable_cpus()[:workers]
+    job = partial(worker_job, model.k, target, max_length, worker_count=len(cpus))
+    outcomes = [job(0)] if len(cpus) == 1 else _run_shares(job, cpus)
     bests, visited, scores, seconds = zip(*outcomes)
     found = [best for best in bests if best is not None]
     if not found:

@@ -4,13 +4,18 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import anyonforge
 from anyonforge import (AnyonModel, BraidWord, braid_generator, cli, enumerate_basis,
                         evaluate, make_target_B1, score_braid, search, synth,
                         verify_braid_relations, write_braid_file)
@@ -339,6 +344,24 @@ def test_synth_deterministic_across_workers(capsys, tmp_path):
     run(capsys, "synth", "--k", "3", "--target", "B1", "--max-length", "6",
         "--workers", "2", "--out", str(two))
     assert one.read_bytes() == two.read_bytes()
+
+
+def test_cli_loads_no_process_pool(tmp_path):
+    """A fresh interpreter imports the CLI and runs a two-worker search
+    without loading ``multiprocessing`` or ``concurrent.futures``."""
+    script = (
+        "import sys\n"
+        "import anyonforge.cli\n"
+        "pool = ('multiprocessing', 'concurrent.futures')\n"
+        "assert not any(m in sys.modules for m in pool), 'on import'\n"
+        "code = anyonforge.cli.main(['synth', '--k', '3', '--target', 'P', '--max-length', '6',\n"
+        "                            '--workers', '2', '--out', sys.argv[1]])\n"
+        "assert code == 3, code\n"
+        "assert not any(m in sys.modules for m in pool), 'after a search'\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(anyonforge.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "p.json")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- assemble ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import os
 
 import numpy as np
 import pytest
@@ -375,31 +376,19 @@ def test_search_deterministic_across_workers(model3):
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """A process pool that records its size and the shares it maps, and
-    maps them in this process, so no process starts; ``os.cpu_count()``
-    reads 3.  Returns the lists of sizes and of share counts."""
-    sizes = []
-    mapped = []
+def inline_shares(monkeypatch):
+    """A share runner that records the CPUs it is handed and runs every
+    share in this process, so nothing forks; the usable CPUs read 0, 1 and
+    2.  Returns the list of CPU lists handed to the runner."""
+    runs = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def run_inline(job, cpus):
+        runs.append(cpus)
+        return [job(share) for share in range(len(cpus))]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable):
-            shares = list(iterable)
-            mapped.append(len(shares))
-            return list(map(fn, shares))
-
-    monkeypatch.setattr(synth, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(synth.os, "cpu_count", lambda: 3)
-    return sizes, mapped
+    monkeypatch.setattr(synth, "_run_shares", run_inline)
+    monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    return runs
 
 
 def _strip(rows):
@@ -407,27 +396,27 @@ def _strip(rows):
     return [row[:4] for row in rows]
 
 
-def test_worker_pool_is_capped_at_cpu_count(model3, monkeypatch, inline_pool):
-    """``workers`` asks for up to os.cpu_count() shares, one per process,
-    and the result does not depend on it."""
-    sizes, mapped = inline_pool
+def test_worker_pool_is_capped_at_cpu_count(model3, monkeypatch, inline_shares):
+    """``workers`` asks for up to one share per usable CPU, and the result
+    does not depend on it; a platform that cannot pin runs one share."""
+    runs = inline_shares
     length = 8
     target = make_target_B1(model3)
     one = search(model3, target, length, workers=1)
-    assert sizes == mapped == []
+    assert runs == []
     for workers, size in ((2, 2), (64, 3)):
         many = search(model3, target, length, workers=workers)
-        assert sizes.pop() == mapped.pop() == size - 1  # share 0 runs here
+        assert runs.pop() == [0, 1, 2][:size]
         assert many.braid == one.braid
         assert repr(many.distance) == repr(one.distance)
         assert _strip(many.stats.rows) == _strip(one.stats.rows)
-    monkeypatch.setattr(synth.os, "cpu_count", lambda: None)
+    monkeypatch.delattr(synth.os, "sched_setaffinity")
     search(model3, target, length, workers=4)
-    assert sizes == mapped == []
+    assert runs == []
 
 
 @pytest.mark.parametrize("name", ["P", "B1", "E", "NOT"])
-def test_stub_edges_do_not_depend_on_shares(model3, inline_pool, name):
+def test_stub_edges_do_not_depend_on_shares(model3, inline_shares, name):
     """Length limits up to one past the prefix depth, where the stub that
     worker 0 walks is empty or short: two and three shares give the one
     share's word, distance and rows."""
@@ -445,12 +434,12 @@ def test_stub_edges_do_not_depend_on_shares(model3, inline_pool, name):
 
 
 @pytest.mark.parametrize("name", ["P", "E", "NOT"])
-def test_shares_without_prefixes(model3, monkeypatch, inline_pool, name):
+def test_shares_without_prefixes(model3, monkeypatch, inline_shares, name):
     """Forty shares over the 18 prefixes of depth 4: 22 shares walk empty
     levels, and the result is still the one share's word, distance and
     rows."""
-    sizes, _ = inline_pool
-    monkeypatch.setattr(synth.os, "cpu_count", lambda: 40)
+    runs = inline_shares
+    monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: set(range(40)))
     if name == "NOT":
         target = make_target_unitary(model3, X, name="NOT")
     else:
@@ -459,10 +448,87 @@ def test_shares_without_prefixes(model3, monkeypatch, inline_pool, name):
         one = search(model3, target, length)
         assert one.stats.rows[3][3] == 18
         many = search(model3, target, length, workers=40)
-        assert sizes.pop() == 39
+        assert runs.pop() == list(range(40))
         assert many.braid == one.braid, length
         assert repr(many.distance) == repr(one.distance), length
         assert _strip(many.stats.rows) == _strip(one.stats.rows), length
+
+
+def _counting_shares(monkeypatch, fail_in=None):
+    """Patch the share walk to record, in this process, the share count it
+    is dealt; the share ``fail_in`` raises instead of walking."""
+    walk = _frontier.worker_job
+    counts = []
+
+    def job(k, target, max_length, worker, worker_count):
+        counts.append(worker_count)
+        if worker == fail_in:
+            raise ValueError(f"share {worker} of {worker_count} failed")
+        return walk(k, target, max_length, worker, worker_count)
+
+    monkeypatch.setattr(_frontier, "worker_job", job)
+    return counts
+
+
+def test_shares_follow_the_usable_cpus(model3, monkeypatch):
+    """A process confined to three CPUs of a 64-CPU machine deals three
+    shares, forked for real, and pins this thread to the first CPU until
+    the walk is done; word, distance and rows equal one share's."""
+    pins = []
+    monkeypatch.setattr(synth.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: {7, 3, 5})
+    monkeypatch.setattr(synth.os, "sched_setaffinity", lambda pid, cpus: pins.append(cpus))
+    counts = _counting_shares(monkeypatch)
+    target = make_target_P(model3)
+    one = search(model3, target, 8)
+    many = search(model3, target, 8, workers=64)
+    assert counts == [1, 3]  # the forked shares count in their own memory
+    assert pins == [{3}, {3, 5, 7}]
+    assert many.braid == one.braid
+    assert repr(many.distance) == repr(one.distance)
+    assert _strip(many.stats.rows) == _strip(one.stats.rows)
+
+
+@pytest.fixture
+def two_shares(monkeypatch):
+    """Two real shares on the CPUs this process may use (both on one CPU
+    where it may use only one).  Returns the caller's CPU mask."""
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask) * 2
+    monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus[:2])
+    return mask
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_share_leaves_no_trace(model3, monkeypatch, two_shares):
+    """A two-share search matches one share, reaps its child and gives the
+    caller back its CPU mask."""
+    counts = _counting_shares(monkeypatch)
+    target = make_target_unitary(model3, X, name="NOT")
+    one = search(model3, target, 10)
+    two = search(model3, target, 10, workers=2)
+    assert counts == [1, 2]
+    assert two.braid == one.braid
+    assert repr(two.distance) == repr(one.distance)
+    assert _strip(two.stats.rows) == _strip(one.stats.rows)
+    assert os.sched_getaffinity(0) == two_shares
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_failing_share_raises_its_error(model3, monkeypatch, two_shares, failing):
+    """An error in either share, here or in the forked child, reaches the
+    caller with its type and message; the child is reaped and the
+    caller's CPU mask restored."""
+    _counting_shares(monkeypatch, fail_in=failing)
+    with pytest.raises(ValueError, match=f"^share {failing} of 2 failed$"):
+        search(model3, make_target_P(model3), 10, workers=2)
+    assert os.sched_getaffinity(0) == two_shares
+    _assert_no_child_left()
 
 
 def test_search_monotone_in_length(model3):
