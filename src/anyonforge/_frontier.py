@@ -1,7 +1,8 @@
 """The one-pass weave search: a batched numpy frontier, depth by depth.
 
 ``synth.search`` imports this module on its first call, so commands that
-run no search never load it.
+run no search never load it.  It imports nothing from the package: every
+share walks the one ``synth._Problem`` that ``search`` built.
 
 The search walks the word forest one depth at a time.  A level holds every
 node of one depth as parallel arrays, in lex order of the node's word (the
@@ -26,7 +27,8 @@ of their keys, and full keys are compared only where two hashes agree, so
 the kept nodes do not depend on how the sort orders equal hashes.
 
 ``worker_job`` cuts the forest at ``_PREFIX_DEPTH``: ``_Walk.descend`` walks
-the stub (the shorter words) in worker 0 and each prefix's subtree.
+the stub (the shorter words) in worker 0 and each prefix's subtree, and
+``merge`` joins the shares' tallies.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-
-from .model import AnyonModel
-from .synth import SynthesisTarget, _Problem, _rank
 
 
 def _vmul(gens: tuple, dims: tuple, re: np.ndarray, im: np.ndarray):
@@ -180,12 +179,18 @@ _PREFIX_DEPTH = 4
 _SLOTS = 4
 
 
+def _rank(score: float, letters: tuple) -> tuple:
+    """Order of candidate words: score, then length, then letters with
+    each position's + before its -."""
+    return score, len(letters), tuple((p, 0 if e == 1 else 1) for p, e in letters)
+
+
 class _Walk:
     """Level-by-level expansion of the word forest for one worker, with its
     tallies: nodes visited, busy seconds and best score per depth, and the
     best word overall."""
 
-    def __init__(self, problem: _Problem, max_length: int):
+    def __init__(self, problem, max_length: int):
         self.problem = problem
         # Move index -> letter; (p, 1) and (p, -1) are 2(p-1) and 2(p-1)+1,
         # so index order is lex order and m ^ 1 is the inverse of m.
@@ -312,9 +317,8 @@ class _Walk:
             self.tally(depth, visited, winner, t0)
 
 
-def worker_job(k: int, target: SynthesisTarget, max_length: int,
-               worker: int, worker_count: int):
-    """Walk this worker's share of the word forest once, depth by depth.
+def worker_job(problem, max_length: int, worker: int, worker_count: int):
+    """Walk this worker's share of ``problem``'s word forest once, depth by depth.
 
     Words shorter than the prefix depth (``_PREFIX_DEPTH``, or
     ``max_length`` if shorter) are the stub: worker 0 walks them with
@@ -327,12 +331,10 @@ def worker_job(k: int, target: SynthesisTarget, max_length: int,
     length L counts the visits at depths <= L, and counts and results are
     identical for any worker count.
 
-    Returns the share's raw tallies for ``search`` to merge: its best
-    (score, letters) by ``_rank`` or None, then per depth 0..``max_length``
-    the nodes visited, the best score and the busy seconds.
+    Returns the share's raw tallies for ``merge``: its best (score,
+    letters) by ``_rank`` or None, then per depth 0..``max_length`` the
+    nodes visited, the best score and the busy seconds.
     """
-    model = AnyonModel(k)
-    problem = _Problem(model, target)
     walk = _Walk(problem, max_length)
     prefix_depth = min(_PREFIX_DEPTH, max_length)
     t0 = time.perf_counter()
@@ -355,3 +357,24 @@ def worker_job(k: int, target: SynthesisTarget, max_length: int,
     walk.keep(prefix_depth, level)
     walk.descend(level, prefix_depth, max_length)
     return walk.best, walk.visited, walk.scores, walk.seconds
+
+
+def merge(outcomes) -> tuple:
+    """The best word's letters by ``_rank`` and the ``synth.SearchStats``
+    rows, from the shares' ``worker_job`` outcomes in share order: each
+    depth's tallies are summed in share order, then accumulated over depths
+    from the empty word's score."""
+    bests, visited, scores, seconds = zip(*outcomes)
+    found = [best for best in bests if best is not None]
+    if not found:
+        raise RuntimeError("no candidate word reached the final arrangement")
+    letters = min(found, key=lambda best: _rank(*best))[1]
+    rows = []
+    best = min(share[0] for share in scores)
+    nodes = 0
+    for depth in range(1, len(scores[0])):
+        best = min(best, *(share[depth] for share in scores))
+        frontier = sum(share[depth] for share in visited)
+        nodes += frontier
+        rows.append((depth, best, nodes, frontier, sum(share[depth] for share in seconds)))
+    return letters, rows

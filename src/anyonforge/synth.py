@@ -243,7 +243,7 @@ class MatrixRule:
 @dataclass(frozen=True)
 class SynthesisTarget:
     """A block system plus the per-sector rules its score is the worst
-    of; plain data, process-safe."""
+    of; plain data."""
 
     name: str
     k: int
@@ -276,9 +276,6 @@ class SearchStats:
 
     rows: list = field(default_factory=list)
     wall_seconds: float = 0.0
-
-    def add(self, length: int, best: float, nodes: int, frontier: int, seconds: float):
-        self.rows.append((length, best, nodes, frontier, seconds))
 
 
 @dataclass(frozen=True)
@@ -432,8 +429,8 @@ def make_target_unitary(model: AnyonModel, matrix: np.ndarray,
 # --- search core -------------------------------------------------------
 
 class _Problem:
-    """Per-worker search context: move generation, sector generators from
-    the symbol table, and the one rule scorer.
+    """One search's context, walked by every share: move generation,
+    sector generators from the model's symbol table, and the one rule scorer.
 
     States are stored entry-major: one column of ``re`` and one of ``im``
     per state, holding each ruled sector's n x n matrix flat, sector after
@@ -558,12 +555,6 @@ class _Problem:
         return worst
 
 
-def _rank(score: float, letters: tuple) -> tuple:
-    """Order of candidate words: score, then length, then letters with
-    each position's + before its -."""
-    return score, len(letters), tuple((p, 0 if e == 1 else 1) for p, e in letters)
-
-
 def _replay(problem: _Problem, letters: tuple) -> tuple:
     """Each ruled sector's coarse matrix after ``letters``."""
     word = BraidWord(problem.block_count, letters)
@@ -625,7 +616,6 @@ def _run_shares(job, cpus: list) -> list:
 def _run_child(job, share: int, cpu: int, write: int):
     """A forked share's whole life: pin, walk, send, and leave without
     running any of the parent's clean-up."""
-    status = 1
     try:
         try:
             os.sched_setaffinity(0, {cpu})
@@ -634,24 +624,24 @@ def _run_child(job, share: int, cpu: int, write: int):
             outcome = exc
         with os.fdopen(write, "wb") as pipe:
             pipe.write(pickle.dumps(outcome))
-        status = 0
     finally:
-        os._exit(status)
+        os._exit(0)
 
 
 def search(model: AnyonModel, target: SynthesisTarget, max_length: int,
            tolerance: float = DEFAULT_TOLERANCE, workers: int = 1) -> SynthesisResult:
     """Exhaustive enumeration of words up to ``max_length``, in one pass.
 
-    Deterministic regardless of worker count: worker 0 walks the short
-    words (the stub) with ``_Walk.descend``, the prefixes at a fixed depth
-    are dealt round-robin to one share per usable CPU, at most
-    ``workers`` (share 0 in this thread, each other one in a forked child;
-    each share pinned to its own CPU, and this thread's CPU mask restored
-    afterwards), and results merge by (score, length, letter sequence).
-    Without ``os.fork`` or ``os.sched_setaffinity`` there is one share.
-    The best word is re-verified on the full fusion space; it converged if
-    its distance is <= ``tolerance``.
+    Every share walks this call's ``_Problem``, so words are scored with
+    ``model``'s own symbols, damaged or not.  Deterministic regardless of
+    worker count: worker 0 walks the short words (the stub), the prefixes
+    at a fixed depth are dealt round-robin to one share per usable CPU, at
+    most ``workers`` (share 0 in this thread, each other one in a forked
+    child, each pinned to its own CPU; this thread's CPU mask is restored
+    afterwards), and ``_frontier.merge`` merges them by (score, length,
+    letters).  Without ``os.fork`` or ``os.sched_setaffinity`` there is one
+    share.  The best word is re-verified on the full fusion space; it
+    converged if its distance is <= ``tolerance``.
     """
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
@@ -661,30 +651,15 @@ def search(model: AnyonModel, target: SynthesisTarget, max_length: int,
         raise ValueError("workers must be at least 1")
     problem = _Problem(model, target)  # refuses a misfit level or rule before any walk
     # Loaded on the first search, so commands that run none skip it.
-    from ._frontier import worker_job
+    from ._frontier import merge, worker_job
 
     start = time.perf_counter()
     cpus = _usable_cpus()[:workers]
-    job = partial(worker_job, model.k, target, max_length, worker_count=len(cpus))
+    job = partial(worker_job, problem, max_length, worker_count=len(cpus))
     outcomes = [job(0)] if len(cpus) == 1 else _run_shares(job, cpus)
-    bests, visited, scores, seconds = zip(*outcomes)
-    found = [best for best in bests if best is not None]
-    if not found:
-        raise RuntimeError("no candidate word reached the final arrangement")
-    letters = min(found, key=lambda best: _rank(*best))[1]
-    # The curve: per depth, the shares' tallies in share order, then
-    # accumulated over depths from the empty word's score.
-    stats = SearchStats()
-    best = min(share[0] for share in scores)
-    nodes = 0
-    for depth in range(1, max_length + 1):
-        best = min(best, *(share[depth] for share in scores))
-        frontier = sum(share[depth] for share in visited)
-        nodes += frontier
-        stats.add(depth, best, nodes, frontier, sum(share[depth] for share in seconds))
-    stats.wall_seconds = time.perf_counter() - start
-    word = BraidWord(target.block_count, letters)
-    return _finish(problem, tolerance, word, stats)
+    letters, rows = merge(outcomes)
+    stats = SearchStats(rows, time.perf_counter() - start)
+    return _finish(problem, tolerance, BraidWord(target.block_count, letters), stats)
 
 
 def score_braid(model: AnyonModel, target: SynthesisTarget,

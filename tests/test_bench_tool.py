@@ -25,6 +25,19 @@ def test_summary_of_fixed_pairs():
         bench.summarize(pairs[:1], "lower")
 
 
+def test_machine_records_usable_cpus_and_bytecode_writing(monkeypatch):
+    """The machine record counts the CPUs this process may use beside the
+    CPU count, and says whether Python writes bytecode."""
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {3, 5, 7})
+    for flag in (True, False):
+        monkeypatch.setattr(bench.sys, "dont_write_bytecode", flag)
+        record = bench.machine()
+        assert (record["cpu_count"], record["usable_cpus"]) == (64, 3)
+        assert record["dont_write_bytecode"] is flag
+    assert json.loads(json.dumps(record)) == record
+
+
 @pytest.mark.parametrize("last_line", ["warning: a late message", "[1, 2]"])
 def test_unreadable_run_result_fails_like_a_failed_run(last_line, tmp_path, monkeypatch,
                                                        capsys):

@@ -139,9 +139,8 @@ def test_unitary_braid_file_round_trip(tmp_path, model2):
 # --- search curves -------------------------------------------------------
 
 def test_curve_csv_layout():
-    stats = SearchStats()
-    stats.add(1, 0.5, nodes=2, frontier=2, seconds=0.001)
-    stats.add(2, 0.25, nodes=8, frontier=6, seconds=0.002)
+    # rows: (length, best, nodes, frontier, seconds)
+    stats = SearchStats([(1, 0.5, 2, 2, 0.001), (2, 0.25, 8, 6, 0.002)])
     text = curve_csv(stats)
     lines = text.strip().splitlines()
     assert lines[0] == "length,best_distance,nodes_explored,seconds"

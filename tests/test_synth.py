@@ -294,7 +294,7 @@ def test_search_config_tolerances(model3, monkeypatch):
     default = inspect.signature(search).parameters["tolerance"].default
     assert default == DEFAULT_TOLERANCE == 1e-9
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("the search walked")
 
     monkeypatch.setattr(_frontier, "worker_job", refuse)
@@ -311,7 +311,7 @@ def test_rules_that_do_not_fit_are_refused_before_any_walk(monkeypatch):
     not fuse to the vacuum, and a rule whose shape does not match its
     sector's dimension are usage errors of ``search`` and ``score_braid``,
     raised before either route evaluates a word."""
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("a word was evaluated")
 
     monkeypatch.setattr(_frontier, "worker_job", refuse)
@@ -344,7 +344,7 @@ def test_rules_that_do_not_fit_are_refused_before_any_walk(monkeypatch):
 def test_search_rejects_mismatched_model(monkeypatch, model2, model3):
     """A model of another level than the target's is refused by ``search``
     and ``score_braid`` alike, before a word is walked or scored."""
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("a word was evaluated")
 
     monkeypatch.setattr(_frontier, "worker_job", refuse)
@@ -460,11 +460,11 @@ def _counting_shares(monkeypatch, fail_in=None):
     walk = _frontier.worker_job
     counts = []
 
-    def job(k, target, max_length, worker, worker_count):
+    def job(problem, max_length, worker, worker_count):
         counts.append(worker_count)
         if worker == fail_in:
             raise ValueError(f"share {worker} of {worker_count} failed")
-        return walk(k, target, max_length, worker, worker_count)
+        return walk(problem, max_length, worker, worker_count)
 
     monkeypatch.setattr(_frontier, "worker_job", job)
     return counts
@@ -529,6 +529,46 @@ def test_failing_share_raises_its_error(model3, monkeypatch, two_shares, failing
         search(model3, make_target_P(model3), 10, workers=2)
     assert os.sched_getaffinity(0) == two_shares
     _assert_no_child_left()
+
+
+def test_search_walks_the_model_it_is_given(monkeypatch, two_shares):
+    """On a model with a damaged F symbol, the search scores words with
+    that model's symbols: the last curve row's best is the reported
+    distance, which ``score_braid`` reproduces, and two shares, the second
+    one forked, give the one share's word, distance and rows."""
+    counts = _counting_shares(monkeypatch)
+    model = AnyonModel(3)
+    model.corrupt_f_symbol(1, 1, 1, 1, delta=0.3)
+    target = make_target_unitary(model, X, name="NOT")
+    one = search(model, target, 8)
+    assert one.braid.letters == ((1, 1), (1, 1))
+    assert abs(one.stats.rows[-1][1] - one.distance) <= 1e-12
+    assert score_braid(model, target, one.braid).distance == \
+        pytest.approx(one.distance, abs=1e-12)
+    two = search(model, target, 8, workers=2)
+    assert counts == [1, 2]
+    assert two.braid == one.braid
+    assert repr(two.distance) == repr(one.distance)
+    assert _strip(two.stats.rows) == _strip(one.stats.rows)
+    _assert_no_child_left()
+
+
+def test_one_problem_per_search(model3, monkeypatch):
+    """A one-share search builds one ``_Problem``, which its walk and its
+    check share; ``score_braid`` builds one too."""
+    built = []
+    init = synth._Problem.__init__
+
+    def counted(self, model, target):
+        built.append(target.name)
+        init(self, model, target)
+
+    monkeypatch.setattr(synth._Problem, "__init__", counted)
+    target = make_target_unitary(model3, X, name="NOT")
+    found = search(model3, target, 6)
+    assert built == ["NOT"]
+    score_braid(model3, target, found.braid)
+    assert built == ["NOT", "NOT"]
 
 
 def test_search_monotone_in_length(model3):

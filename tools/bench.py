@@ -12,11 +12,11 @@ side runs first.  A run that exits non-zero, whose last stdout line is no
 JSON object, or whose result is not ``correct`` stops the tool with exit 1
 and no file written.
 
-The output file records the machine (CPU count, Python, numpy, load at the
-start), both tree ids and the settings, and per workload and end-to-end
-metric: each side's median and quartiles, the pairs run, the pairs the
-head won (strictly better by the metric's direction) and every pair's
-values.  This script imports nothing from the package it measures.
+The output file records the machine (``machine()``: CPU counts, bytecode
+writing, Python, numpy, load at the start), both tree ids and the
+settings, and per workload and end-to-end metric: each side's median and
+quartiles, the pairs run, the pairs the head won (strictly better by the
+metric's direction) and every pair's values.  This script imports nothing from the package it measures.
 """
 
 from __future__ import annotations
@@ -49,6 +49,19 @@ def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
     out["pairs"] = len(pairs)
     out["head_won"] = sum(sign * (head - base) < 0 for base, head in pairs)
     return out
+
+
+def machine() -> dict:
+    """The facts of this machine that bear on the numbers: the CPU count,
+    the CPUs this process may use (a search deals one share per usable
+    CPU), whether Python writes bytecode (when it does not, every run
+    compiles the package inside its measured seconds), and the versions."""
+    return {"cpu_count": os.cpu_count(),
+            "usable_cpus": len(os.sched_getaffinity(0)),
+            "dont_write_bytecode": sys.dont_write_bytecode,
+            "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"),
+            "load_at_start": list(os.getloadavg())}
 
 
 def _git(*args: str) -> str:
@@ -95,10 +108,7 @@ def main(argv=None) -> int:
 
     trees = {"base": _git("rev-parse", args.base), "head": _git("write-tree")}
     record = {
-        "machine": {"cpu_count": os.cpu_count(),
-                    "python": platform.python_version(),
-                    "numpy": importlib.metadata.version("numpy"),
-                    "load_at_start": list(os.getloadavg())},
+        "machine": machine(),
         "trees": trees,
         "settings": {"pairs": args.pairs, "seed": SEED, "trace": 0},
         "workloads": {},
