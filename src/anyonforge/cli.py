@@ -132,21 +132,22 @@ def cmd_check(args: argparse.Namespace) -> int:
     """Pentagon, hexagon and braid relations of one level.
 
     The braid relations are checked on the sixteen four-strand systems of
-    spin-1/2 and spin-1 strands.  They cover the three-strand ones: at
-    total m, a system (a, b, c) is the diagonal block of (a, b, c, d) whose
-    first three strands fuse to m, and its s1 s2 s1 = s2 s1 s2 relation is
-    that block of the four-strand one, built from the same exchange blocks.
-    So the reported residual is the 24-system maximum up to rounding: equal
-    bit for bit at every level but k = 21, 51 and 71, where it is one or two
-    ulps (3.9e-31) lower.
+    spin-1/2 and spin-1 strands, all in one ``verify_braid_relations``
+    pass, which reads its F blocks from the flat table the pentagon built.
+    They cover the three-strand ones: at total m, a system (a, b, c) is
+    the diagonal block of (a, b, c, d) whose first three strands fuse to
+    m, and its s1 s2 s1 = s2 s1 s2 relation is that block of the
+    four-strand one, built from the same exchange blocks.  So the reported
+    residual is the 24-system maximum up to rounding: equal bit for bit at
+    every level but k = 21, 51 and 71, where it is one or two ulps
+    (3.9e-31) lower.
     """
     model = AnyonModel(args.k)
     if args.debug_corrupt:
         model.corrupt_f_symbol(1, 1, 1, 1)
     pentagon = model.verify_pentagon()
     hexagon = model.verify_hexagon()
-    braid = max(verify_braid_relations(model, system)
-                for system in itertools.product((1, 2), repeat=4))
+    braid = verify_braid_relations(model, *itertools.product((1, 2), repeat=4))
     worst = max(pentagon, hexagon, braid)
     passed = worst < args.tol
     payload = {

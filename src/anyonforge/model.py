@@ -89,7 +89,8 @@ class SymbolCache:
     hexagon checks read (``f_table``: built once, on first use; building
     it evaluates every F block in one batched pass and leaves
     ``f_symbols`` to ``AnyonModel.f_symbol``, but takes every block
-    already there, a damaged one among them), the fusion bases built
+    already there, a damaged one among them; once it exists,
+    ``f_symbol`` reads new blocks from it), the fusion bases built
     by ``spaces.enumerate_basis``, the exchange blocks read by
     ``spaces.braid_generator``, the regrouped frames built by
     ``spaces.regroup`` and the braid letters built by ``spaces._letter``.
@@ -236,10 +237,14 @@ class _FTable:
         self.values = np.zeros(n + 1 + int(np.sum(size * stride)))
         self.values[starts[row] + j + 1] = entries
         for key, known in blocks.items():
-            s = self.at(*key)
-            self.values[self.rows[s + np.array(known.rows)][:, None]
-                        + self.cols[s + np.array(known.cols)]] = known.matrix
+            self.values[self.places(key, known.rows, known.cols)] = known.matrix
         self.values.setflags(write=False)
+
+    def places(self, key, rows, cols) -> np.ndarray:
+        """Where in ``values`` the entries of block ``key`` = (a, b, c, d)
+        sit, for its row channels ``rows`` and column channels ``cols``."""
+        s = self.at(*key)
+        return self.rows[s + np.array(rows)][:, None] + self.cols[s + np.array(cols)]
 
     def at(self, a, b, c, d):
         """Block position s*n of F(a, b, c, d), per row of the label arrays."""
@@ -353,7 +358,14 @@ class AnyonModel:
     # -- F and R symbols ---------------------------------------------------
 
     def f_symbol(self, a: int, b: int, c: int, d: int) -> FMatrix:
-        """F-move block for charges a, b, c with total d (see module doc)."""
+        """F-move block for charges a, b, c with total d (see module doc).
+
+        Memoized in ``symbols.f_symbols``; a block already there, a damaged
+        one included, is returned as it is.  A new block is read from the
+        level's flat F table when that table exists (the same bytes), and
+        otherwise built by the scalar q-Racah route; this never builds the
+        table.
+        """
         # Only valid labels are ever cached, so plain ints may look up first;
         # anything else (bools and numpy ints among them) is validated first.
         if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
@@ -373,12 +385,16 @@ class AnyonModel:
             raise ValueError(
                 f"no admissible channels for F(a={a}, b={b}, c={c}, d={d}) at k={self.k}"
             )
-        sign = -1.0 if ((a + b + c + d) // 2) % 2 else 1.0
-        matrix = np.empty((len(rows), len(cols)), dtype=np.float64)
-        for i, e in enumerate(rows):
-            for j, f in enumerate(cols):
-                scale = math.sqrt(self._qint[e + 1] * self._qint[f + 1])
-                matrix[i, j] = sign * scale * self._six_j(a, b, e, c, d, f)
+        table = self.symbols.f_table
+        if table is not None:
+            matrix = table.values[table.places(key, rows, cols)]
+        else:
+            sign = -1.0 if ((a + b + c + d) // 2) % 2 else 1.0
+            matrix = np.empty((len(rows), len(cols)), dtype=np.float64)
+            for i, e in enumerate(rows):
+                for j, f in enumerate(cols):
+                    scale = math.sqrt(self._qint[e + 1] * self._qint[f + 1])
+                    matrix[i, j] = sign * scale * self._six_j(a, b, e, c, d, f)
         matrix.setflags(write=False)
         block = FMatrix(rows, cols, matrix)
         self.symbols.f_symbols[key] = block
@@ -414,8 +430,8 @@ class AnyonModel:
 
     def precompute(self) -> None:
         """Build the flat F table the consistency checks read into the
-        symbol table (F blocks stay with ``f_symbol``, which builds them on
-        demand)."""
+        symbol table (F blocks stay with ``f_symbol``, which from then on
+        reads each new block from that table)."""
         self._f_table()
 
     def _f_table(self) -> _FTable:

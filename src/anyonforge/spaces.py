@@ -207,7 +207,7 @@ class Grouping:
 
     @property
     def strand_count(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return self.blocks[-1][-1] if self.blocks else 0
 
     def block_charges(self, leaves: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """Leaf charges per block."""
@@ -375,11 +375,14 @@ def swap_blocks(leaves: tuple[int, ...], grouping: Grouping,
     """Leaves and grouping after exchanging blocks at 1-based ``position``:
     the two blocks' leaf runs trade places and their sizes swap (the
     grouping is ``grouping`` itself when the sizes are equal)."""
-    blocks = swap_leaves(grouping.block_charges(leaves), position)
-    swapped = tuple(c for block in blocks for c in block)
-    sizes = tuple(len(b) for b in grouping.blocks)
-    if sizes[position - 1] == sizes[position]:
+    if not 1 <= position < len(grouping.blocks):
+        raise ValueError(f"position {position} outside 1..{len(grouping.blocks) - 1}")
+    left, right = grouping.blocks[position - 1], grouping.blocks[position]
+    start, middle, end = left[0] - 1, right[0] - 1, right[-1]
+    swapped = leaves[:start] + leaves[middle:end] + leaves[start:middle] + leaves[end:]
+    if len(left) == len(right):
         return swapped, grouping
+    sizes = tuple(len(b) for b in grouping.blocks)
     return swapped, Grouping.of_sizes(*swap_leaves(sizes, position))
 
 

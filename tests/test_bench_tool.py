@@ -59,3 +59,65 @@ def test_unreadable_run_result_fails_like_a_failed_run(last_line, tmp_path, monk
     assert bench.main(["--pairs", "2", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_check_scale_runs_are_recorded_once_per_side(tmp_path, monkeypatch):
+    """After the pairs, each side runs ``check --k 12`` and ``--k 16`` once;
+    the file keeps each run's wall seconds and peak RSS (KiB to MB) under
+    ``check_scale``, beside the workloads it leaves alone."""
+    def export(tree, directory):
+        directory.mkdir()
+        spec = {"run_seconds": 1, "workloads": [{"name": "w"}],
+                "end_to_end": [{"name": "run_s", "unit": "s", "better": "lower"}]}
+        (directory / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    scale = {("base", "12"): (2.5, 51200), ("head", "12"): (2.0, 52224),
+             ("base", "16"): (20.0, 102400), ("head", "16"): (19.0, 101376)}
+    calls = []
+
+    def run(cmd, cwd=None, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 0, stdout="tree\n", stderr="")
+        if cmd[1] == "perfbench/run.py":
+            result = {"correct": True, "metrics": {"run_s": {"value": 1.0}}}
+            return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(result) + "\n",
+                                               stderr="")
+        side, k = Path(cwd).name, cmd[cmd.index("--k") + 1]
+        calls.append((side, k))
+        wall, peak = scale[side, k]
+        line = json.dumps({"exit": 0, "wall_s": wall, "peak_kib": peak})
+        return subprocess.CompletedProcess(cmd, 0, stdout="{}\n", stderr=f"note\n{line}\n")
+
+    monkeypatch.setattr(bench, "_export", export)
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--pairs", "2", "--out", str(out)]) == 0
+    assert sorted(calls) == sorted(scale)
+    record = json.loads(out.read_text())
+    assert record["check_scale"] == {
+        "check --k 12": {"base": {"wall_s": 2.5, "peak_rss_mb": 50.0},
+                         "head": {"wall_s": 2.0, "peak_rss_mb": 51.0}},
+        "check --k 16": {"base": {"wall_s": 20.0, "peak_rss_mb": 100.0},
+                         "head": {"wall_s": 19.0, "peak_rss_mb": 99.0}},
+    }
+    assert record["workloads"]["w"]["run_s"]["head_won"] == 0
+
+
+def test_failed_check_scale_run_fails_the_tool(tmp_path, monkeypatch, capsys):
+    def export(tree, directory):
+        directory.mkdir()
+        spec = {"run_seconds": 1, "workloads": [],
+                "end_to_end": [{"name": "run_s", "unit": "s", "better": "lower"}]}
+        (directory / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def run(cmd, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 0, stdout="tree\n", stderr="")
+        return subprocess.CompletedProcess(cmd, 2, stdout="", stderr="Traceback\n")
+
+    monkeypatch.setattr(bench, "_export", export)
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--pairs", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

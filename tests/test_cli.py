@@ -20,7 +20,7 @@ from anyonforge import (AnyonModel, BraidWord, braid_generator, cli, enumerate_b
                         evaluate, make_target_B1, score_braid, search, synth,
                         verify_braid_relations, write_braid_file)
 from anyonforge.cli import main
-from anyonforge.model import MAX_LEVEL
+from anyonforge.model import MAX_LEVEL, SymbolCache
 from anyonforge.synth import BUILTIN_TARGETS
 
 
@@ -106,8 +106,23 @@ _CHECK_RESIDUALS = {
     ("--k", "5"): (1.3322676295501878e-15, 1.1778964011900897e-15, 1.4655364458042816e-15),
     ("--k", "6"): (1.887379141862766e-15, 1.2658490090568385e-15, 2.1986610499509687e-15),
     ("--k", "7"): (1.9984014443252818e-15, 1.807312143953211e-15, 2.0368755414638747e-15),
+    ("--k", "8"): (1.9984014443252818e-15, 2.4781859104316644e-15, 2.2915357555953874e-15),
+    ("--k", "10"): (3.552713678800501e-15, 4.930985021797528e-15, 1.1361156005631323e-15),
     ("--k", "3", "--debug-corrupt"): (0.012260679774998173, 0.013211703156057523,
                                       0.029105543690265148),
+    ("--k", "5", "--debug-corrupt"): (0.010999162641747606, 0.01642962134972066,
+                                      0.032411780381188394),
+}
+
+# The braid-relation residual of the sixteen four-strand systems at levels
+# whose pentagon is too slow for this suite, and on the damaged k=5 table
+# (F(1, 1, 1, 1) damaged as by ``--debug-corrupt``).
+_BRAID_RESIDUALS = {
+    (8, False): 2.2915357555953874e-15,
+    (10, False): 1.1361156005631323e-15,
+    (12, False): 1.8420756424069343e-15,
+    (16, False): 2.0471501066083613e-15,
+    (5, True): 0.032411780381188394,
 }
 
 
@@ -124,6 +139,25 @@ def test_check_payload_is_pinned(capsys, argv):
     assert payload == expected
     assert [repr(payload[name]) for name in expected] == \
         [repr(value) for value in expected.values()]
+
+
+@pytest.mark.parametrize("k, corrupt", sorted(_BRAID_RESIDUALS))
+def test_braid_residual_is_pinned_on_both_f_routes(k, corrupt):
+    """The pinned residual, with every F block built by the scalar route
+    and with every one read from the level's flat table, as ``check``
+    reads them after its pentagon."""
+    residuals = []
+    for table in (False, True):
+        model = AnyonModel(k)
+        model.symbols = SymbolCache(k)
+        if corrupt:
+            model.corrupt_f_symbol(1, 1, 1, 1)
+        if table:
+            model.precompute()
+        residuals.append(repr(verify_braid_relations(
+            model, *itertools.product((1, 2), repeat=4))))
+        assert (model.symbols.f_table is not None) == table
+    assert residuals == [repr(_BRAID_RESIDUALS[k, corrupt])] * 2
 
 
 def _three_and_four_strand_residual(model):

@@ -315,6 +315,59 @@ def test_batched_f_table_keeps_a_damaged_block():
     assert broken.verify_pentagon() > 1e-4
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_f_symbol_reads_the_flat_table_bit_for_bit(k, monkeypatch):
+    """Once the level's flat table exists, ``f_symbol`` reads every block
+    from it, with the rows, columns and bytes of a scalar build."""
+    scalar = AnyonModel(k)
+    scalar.symbols = SymbolCache(k)
+    keys = _f_block_keys(scalar)
+    want = [scalar.f_symbol(*key) for key in keys]
+    assert scalar.symbols.f_table is None
+    model = AnyonModel(k)
+    model.symbols = SymbolCache(k)
+    model.precompute()
+
+    def unexpected(*args):
+        raise AssertionError("a block was built by the scalar route")
+
+    monkeypatch.setattr(AnyonModel, "_six_j", unexpected)
+    for key, block in zip(keys, want):
+        got = model.f_symbol(*key)
+        assert (got.rows, got.cols) == (block.rows, block.cols)
+        assert got.matrix.shape == block.matrix.shape
+        assert got.matrix.tobytes() == block.matrix.tobytes()
+        assert not got.matrix.flags.writeable
+        assert model.f_symbol(*key) is got
+
+
+def test_f_symbol_reads_a_damaged_block_over_the_table():
+    """A block damaged before the table is built is the one ``f_symbol``
+    reads after it; so is one damaged on a model whose clean table
+    already has a flat table (the damage moves it onto a private copy)."""
+    clean = AnyonModel(3)
+    clean.precompute()
+    for model in (AnyonModel(5), clean):
+        model.corrupt_f_symbol(1, 1, 1, 1)
+        damaged = model.symbols.f_symbols[(1, 1, 1, 1)]
+        assert model.symbols.f_table is None
+        model.precompute()
+        assert model.f_symbol(1, 1, 1, 1) is damaged
+        assert model.f_symbol(1, 1, 1, 1).matrix.tobytes() != \
+            AnyonModel(model.k).f_symbol(1, 1, 1, 1).matrix.tobytes()
+
+
+def test_f_symbol_never_builds_a_flat_table():
+    """A path that reads only a few blocks pays for those blocks alone:
+    without a flat table ``f_symbol`` builds each block by the scalar
+    route and leaves the table unbuilt."""
+    model = AnyonModel(6)
+    model.symbols = SymbolCache(6)
+    for key in _f_block_keys(model):
+        model.f_symbol(*key)
+    assert model.symbols.f_table is None
+
+
 def test_batched_f_build_memory_is_bounded():
     """The F table's q-Racah pass runs in batches of ``_BATCH_ROWS``
     entries and lays its arrays straight into the flat table:

@@ -3,7 +3,8 @@ benchmark's span tracer still covers its public functions.
 
 ``perfbench.tracer`` refuses to install when its TRACED and UNTRACED lists
 no longer name exactly the public functions, so a public rename or removal
-that forgets those lists would stop every traced benchmark pass.
+that forgets those lists would stop every traced benchmark pass.  A traced
+``check`` must still call every layer the consistency workload requires.
 """
 
 import sys
@@ -14,8 +15,9 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 import anyonforge  # noqa: E402
-from anyonforge import assemble, codes, files, model, spaces, synth  # noqa: E402
-from perfbench.tracer import patch_list_problems  # noqa: E402
+from anyonforge import assemble, cli, codes, files, model, spaces, synth  # noqa: E402
+from perfbench.tracer import Tracer, patch_list_problems  # noqa: E402
+from perfbench.workloads import trace_problems  # noqa: E402
 
 
 def test_tracer_patch_list_matches_the_public_functions():
@@ -30,3 +32,17 @@ def test_package_reexports_each_modules_all_once():
     for module in modules:
         for name in module.__all__:
             assert getattr(anyonforge, name) is getattr(module, name)
+
+
+def test_traced_check_calls_every_consistency_layer(monkeypatch, capsys):
+    """One ``check`` on a fresh symbol table calls each traced layer that a
+    traced pass of the consistency workload must show calls for."""
+    monkeypatch.setattr(model, "_CLEAN_TABLES", {})
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["check", "--k", "3"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert trace_problems("consistency", tracer.calls) == []

@@ -164,28 +164,47 @@ def test_warm_letters_build_nothing(monkeypatch):
     assert evaluate(model, basis, word, grouping).tobytes() == expected.tobytes()
 
 
-def test_relation_words_equal_their_generator_products_bit_for_bit(monkeypatch):
-    """Every word ``verify_braid_relations`` evaluates is the product of its
-    elementary generators, first letter first, to the last bit."""
-    seen = []
+def _generator_product(model, leaves, total, positions):
+    """The positive word with letters at ``positions`` over ``leaves`` at
+    ``total``, as the product of its elementary generators, first letter
+    first."""
+    U = None
+    for pos in positions:
+        G = braid_generator(model, enumerate_basis(model, leaves, total), pos)
+        U = G if U is None else G @ U
+        leaves = swap_leaves(leaves, pos)
+    return U
 
-    def recording(model, basis, word, grouping=None):
-        seen.append((model, basis, word))
-        return evaluate(model, basis, word, grouping)
 
-    monkeypatch.setattr(synth, "evaluate", recording)
+def _relation_gap_norms(model, leaves):
+    """The 2-norm of every relation gap of ``leaves``, one at a time: both
+    sides of each Yang-Baxter and far-commutativity word built from
+    generator products, at every total with a nonempty basis."""
+    n = len(leaves)
+    words = [((i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)]
+    words += [((i, j), (j, i)) for i in range(1, n - 1) for j in range(i + 2, n)]
+    return [float(np.linalg.norm(_generator_product(model, leaves, total, left)
+                                 - _generator_product(model, leaves, total, right), ord=2))
+            for total in model.charges if enumerate_basis(model, leaves, total).dim
+            for left, right in words]
+
+
+def test_relation_words_equal_their_generator_products_bit_for_bit():
+    """The braid-relation residual is the largest 2-norm of the gaps
+    between both sides of every relation word, each side the product of
+    its elementary generators, first letter first, to the last bit: one
+    call per system and one call with all of them."""
+    systems = ((1, 1, 1), (1, 2, 1, 2), (2, 1, 1, 1))
+    gaps = 0
     for k in (3, 5, 8):
-        for leaves in ((1, 1, 1), (1, 2, 1, 2), (2, 1, 1, 1)):
-            verify_braid_relations(AnyonModel(k), leaves)
-    assert len(seen) == 114
-    for model, basis, word in seen:
-        U, leaves = None, basis.leaves
-        for pos, exp in word.letters:
-            assert exp == 1
-            G = braid_generator(model, enumerate_basis(model, leaves, basis.total), pos)
-            U = G if U is None else G @ U
-            leaves = swap_leaves(leaves, pos)
-        assert evaluate(model, basis, word).tobytes() == U.tobytes()
+        model = AnyonModel(k)
+        norms = {leaves: _relation_gap_norms(model, leaves) for leaves in systems}
+        gaps += sum(map(len, norms.values()))
+        for leaves in systems:
+            assert repr(verify_braid_relations(model, leaves)) == repr(max(norms[leaves]))
+        assert repr(verify_braid_relations(model, *systems)) == \
+            repr(max(max(values) for values in norms.values()))
+    assert gaps == 57
 
 
 @pytest.mark.parametrize("letters", [(), ((2, 1),), ((2, -1),)])

@@ -16,7 +16,15 @@ The output file records the machine (``machine()``: CPU counts, bytecode
 writing, Python, numpy, load at the start), both tree ids and the
 settings, and per workload and end-to-end metric: each side's median and
 quartiles, the pairs run, the pairs the head won (strictly better by the
-metric's direction) and every pair's values.  This script imports nothing from the package it measures.
+metric's direction) and every pair's values.
+
+After the pairs, each side runs ``check --k 12`` and ``check --k 16`` once
+(``SCALE_LEVELS``), in an interpreter of its own, and the file records
+each run's wall seconds (the command alone, without interpreter start)
+and the peak resident memory of its process under ``check_scale``.  These
+runs are reported only: no bound or comparison reads them.  A run that
+exits non-zero stops the tool like a failed workload run.  This script
+imports nothing from the package it measures.
 """
 
 from __future__ import annotations
@@ -34,6 +42,19 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SEED = 1
+SCALE_LEVELS = (12, 16)
+
+# Runs one CLI command and prints, as the last stderr line, its wall
+# seconds and the process's peak resident memory (ru_maxrss, KiB on Linux).
+_SCALE_RUN = """\
+import json, resource, sys, time
+from anyonforge.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+wall = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"exit": code, "wall_s": wall, "peak_kib": peak}), file=sys.stderr)
+"""
 
 
 def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
@@ -78,6 +99,18 @@ def _export(tree: str, directory: Path) -> None:
     archive.unlink()
 
 
+def _last_json(proc: subprocess.CompletedProcess, output: str) -> dict:
+    """The JSON object on the last line of a run's ``output`` (its stdout
+    or stderr); {} when the run exited non-zero or that line is no JSON
+    object."""
+    lines = output.splitlines()
+    try:
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
+    except json.JSONDecodeError:
+        return {}
+    return result if isinstance(result, dict) else {}
+
+
 def _run(root: Path, workload: str, seconds: float) -> dict:
     """One untraced ``perfbench/run.py`` run of a side; its end-to-end
     metric values.  A failed or incorrect run, or one whose last stdout
@@ -86,15 +119,26 @@ def _run(root: Path, workload: str, seconds: float) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
-    try:
-        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
-    except json.JSONDecodeError:
-        result = {}
-    if not isinstance(result, dict) or not result.get("correct"):
+    result = _last_json(proc, proc.stdout)
+    if not result.get("correct"):
         raise RuntimeError(f"{root.name} {workload}: exit {proc.returncode}\n"
                            f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def _scale_run(root: Path, k: int) -> dict:
+    """One report-only ``check --k k`` run of a side: its wall seconds and
+    peak RSS in MB.  A run that fails or reports nothing raises
+    ``RuntimeError``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCALE_RUN, "check", "--k", str(k), "--format", "json"],
+        cwd=root, env=env, capture_output=True, text=True)
+    result = _last_json(proc, proc.stderr)
+    if result.get("exit") != 0:
+        raise RuntimeError(f"{root.name} check --k {k}: exit {proc.returncode}\n"
+                           f"{proc.stderr[-2000:]}")
+    return {"wall_s": result["wall_s"], "peak_rss_mb": result["peak_kib"] / 1024}
 
 
 def main(argv=None) -> int:
@@ -134,6 +178,9 @@ def main(argv=None) -> int:
                     pairs = [(r["base"][name], r["head"][name]) for r in runs]
                     summary[name] = dict(summarize(pairs, metric["better"]),
                                          unit=metric["unit"], values=pairs)
+            record["check_scale"] = {
+                f"check --k {k}": {side: _scale_run(roots[side], k) for side in trees}
+                for k in SCALE_LEVELS}
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -143,6 +190,10 @@ def main(argv=None) -> int:
             print(f"{workload:15} {name:12} {s['base']['median']:.4g} -> "
                   f"{s['head']['median']:.4g} (head won {s['head_won']}/{s['pairs']}; "
                   f"base IQR {s['base']['q3'] - s['base']['q1']:.3g})")
+    for command, sides in record["check_scale"].items():
+        print(f"{command:15} " + "; ".join(
+            f"{side} {run['wall_s']:.3g} s, {run['peak_rss_mb']:.4g} MB"
+            for side, run in sides.items()))
     return 0
 
 
