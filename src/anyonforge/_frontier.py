@@ -26,14 +26,20 @@ becomes an exact int64 key (``_keys12``); the nodes are sorted by a hash
 of their keys, and full keys are compared only where two hashes agree, so
 the kept nodes do not depend on how the sort orders equal hashes.
 
-``worker_job`` cuts the forest at ``_PREFIX_DEPTH``: ``_Walk.descend`` walks
-the stub (the shorter words) in worker 0 and each prefix's subtree, and
-``merge`` joins the shares' tallies.
+A share's walk is one record per depth: nodes visited, busy seconds and
+the winner by ``_rank``.  A level links to the level above (``_Level.up``),
+so a node's word is read up the links.  ``walk`` cuts the forest at
+``_PREFIX_DEPTH`` (``worker_job``), runs one share per usable CPU
+(``_run_shares``) and merges the records (``merge``).
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import time
+from functools import partial
 
 import numpy as np
 
@@ -108,23 +114,26 @@ class _Level:
     """The nodes of one depth, as parallel arrays in lex order of word:
     arrangement id, last move index, index of the parent in the level above,
     subtree (the scope of dedup), and the sector matrices, entry-major
-    (one row per entry, one column per node)."""
+    (one row per entry, one column per node); and ``up``, the
+    ``(parent, last, up)`` of the level above, or None at the root."""
 
-    __slots__ = ("arr", "last", "parent", "tree", "re", "im")
+    __slots__ = ("arr", "last", "parent", "tree", "re", "im", "up")
 
-    def __init__(self, arr, last, parent, tree, re, im):
+    def __init__(self, arr, last, parent, tree, re, im, up):
         self.arr, self.last, self.parent, self.tree = arr, last, parent, tree
-        self.re, self.im = re, im
+        self.re, self.im, self.up = re, im, up
 
     def __len__(self) -> int:
         return len(self.arr)
 
     def take(self, index: np.ndarray) -> "_Level":
-        return _Level(*(getattr(self, f).take(index, axis=-1) for f in self.__slots__))
+        return _Level(*(getattr(self, f).take(index, axis=-1)
+                        for f in self.__slots__[:-1]), self.up)
 
     def split(self, cut: int) -> list:
         """The nodes before ``cut`` and those from it on, as views."""
-        return [_Level(*(getattr(self, f)[..., part] for f in self.__slots__))
+        return [_Level(*(getattr(self, f)[..., part] for f in self.__slots__[:-1]),
+                       self.up)
                 for part in (slice(cut), slice(cut, None))]
 
     def first_per_key(self) -> np.ndarray:
@@ -171,7 +180,7 @@ _HASH = np.uint64(0x9E3779B97F4A7C15)
 # search at k=3, L=20 is 2.8 MB (numpy 2.4).
 _BATCH_NODES = 1 << 13
 
-# Length of the prefixes dealt to the shares (capped at the length limit).
+# Length of the prefixes dealt to the shares; a shorter search deals none.
 _PREFIX_DEPTH = 4
 
 # The mobile block's four letters, one move-table slot each.  A node has at
@@ -185,10 +194,15 @@ def _rank(score: float, letters: tuple) -> tuple:
     return score, len(letters), tuple((p, 0 if e == 1 else 1) for p, e in letters)
 
 
+def _best(*winners):
+    """The best of ``winners`` ((score, letters) or None) by ``_rank``."""
+    return min(filter(None, winners), key=lambda w: _rank(*w), default=None)
+
+
 class _Walk:
-    """Level-by-level expansion of the word forest for one worker, with its
-    tallies: nodes visited, busy seconds and best score per depth, and the
-    best word overall."""
+    """Level-by-level expansion of the word forest for one share, with its
+    record per depth: nodes visited, busy seconds and the winner, the best
+    (score, letters) by ``_rank`` or None."""
 
     def __init__(self, problem, max_length: int):
         self.problem = problem
@@ -219,20 +233,16 @@ class _Walk:
                 gr[..., slot], gi[..., slot] = G.real, G.imag
         self.final = (self.arrangements.index(problem.final_arr)
                       if problem.final_arr in self.arrangements else -1)
-        # Per depth down to the current level: (parent, last) of the nodes
-        # kept for expansion, for spelling out words.
-        self.trail: list = []
         self.visited = [0] * (max_length + 1)
         self.seconds = [0.0] * (max_length + 1)
-        self.scores = [float("inf")] * (max_length + 1)
-        self.best = None  # (score, letters) of the best word by _rank
+        self.winners = [None] * (max_length + 1)
 
     def root(self) -> _Level:
         """The empty word: identity sector matrices."""
         problem = self.problem
         re, im = problem.rows([[np.eye(n) for n in problem.dims]])
         one = np.zeros(1, dtype=np.int32)
-        return _Level(one, one - 1, one - 1, one, re, im)
+        return _Level(one, one - 1, one - 1, one, re, im, None)
 
     def expand(self, level: _Level, only_final: bool = False):
         """(children of every node in lex order, number of children).
@@ -254,20 +264,12 @@ class _Walk:
                        self.problem.dims,
                        level.re.take(parent, axis=1), level.im.take(parent, axis=1))
         return _Level(self.next.take(edge), move[ok], parent, level.tree.take(parent),
-                      re, im), count
-
-    def keep(self, depth: int, level: _Level) -> None:
-        """Record the nodes at ``depth`` that will be expanded next."""
-        del self.trail[depth:]
-        self.trail.append((level.parent, level.last))
+                      re, im, (level.parent, level.last, level.up)), count
 
     def tally(self, depth: int, visited: int, winner, t0: float) -> None:
         self.visited[depth] += visited
         self.seconds[depth] += time.perf_counter() - t0
-        if winner is not None:
-            self.scores[depth] = min(self.scores[depth], winner[0])
-            if self.best is None or _rank(*winner) < _rank(*self.best):
-                self.best = winner
+        self.winners[depth] = _best(self.winners[depth], winner)
 
     def winner(self, level: _Level):
         """(score, letters) of the lex-first best node in the final
@@ -281,11 +283,13 @@ class _Walk:
         return float(scores[i]), self.word(level, int(index[i]))
 
     def word(self, level: _Level, node: int) -> tuple:
-        letters = [self.letters[level.last[node]]]
-        node = level.parent[node]
-        for parent, last in reversed(self.trail[1:]):
+        """The letters of ``node``, read up the links to the root."""
+        letters = []
+        parent, last, up = level.parent, level.last, level.up
+        while up is not None:
             letters.append(self.letters[last[node]])
             node = parent[node]
+            parent, last, up = up
         return tuple(reversed(letters))
 
     def descend(self, level: _Level, depth: int, stop: int) -> None:
@@ -303,7 +307,6 @@ class _Walk:
                 if cut == 0:
                     cut = int(np.searchsorted(tree, tree[0], side="right"))
                 for part in level.split(cut):
-                    self.keep(depth, part)
                     self.descend(part, depth, stop)
                 return
             t0 = time.perf_counter()
@@ -313,68 +316,143 @@ class _Walk:
             winner = self.winner(level)
             if not last_depth:
                 level = level.take(level.first_per_key())
-                self.keep(depth, level)
             self.tally(depth, visited, winner, t0)
 
 
 def worker_job(problem, max_length: int, worker: int, worker_count: int):
-    """Walk this worker's share of ``problem``'s word forest once, depth by depth.
+    """Walk this share of ``problem``'s word forest once, depth by depth.
 
-    Words shorter than the prefix depth (``_PREFIX_DEPTH``, or
-    ``max_length`` if shorter) are the stub: worker 0 walks them with
-    ``descend`` and one seen set of its own.  Every freely reduced word of
-    exactly the prefix depth is a prefix; prefixes are dealt round-robin,
-    and ``descend`` walks each one's subtree with a seen set of its own.  A
+    Words shorter than ``_PREFIX_DEPTH`` are the stub: share 0 walks them,
+    up to ``max_length``, with ``descend`` and one seen set of its own, so
+    below the prefix depth the stub is the whole walk and every other
+    share's record is empty.  Every freely reduced word of exactly the
+    prefix depth is a prefix; prefixes are dealt round-robin, and
+    ``descend`` walks each one's subtree with a seen set of its own.  A
     seen set passes the first node per (depth, arrangement, rounded state)
     in lex order, and only nodes it passes are expanded.  The nodes visited
-    at a depth do not depend on the length limit, so the curve row for
-    length L counts the visits at depths <= L, and counts and results are
-    identical for any worker count.
+    at a depth, and so its winner, do not depend on the length limit or
+    the worker count.
 
-    Returns the share's raw tallies for ``merge``: its best (score,
-    letters) by ``_rank`` or None, then per depth 0..``max_length`` the
-    nodes visited, the best score and the busy seconds.
+    Returns the share's record for ``merge``, per depth 0..``max_length``:
+    the nodes visited, the winner ((score, letters) or None) and the busy
+    seconds.
     """
-    walk = _Walk(problem, max_length)
-    prefix_depth = min(_PREFIX_DEPTH, max_length)
+    share = _Walk(problem, max_length)
     t0 = time.perf_counter()
-    root = walk.root()
+    root = share.root()
     if worker == 0:
         if problem.initial_arr == problem.final_arr:
-            walk.tally(0, 0, (float(problem.score(root.re, root.im)[0]), ()), t0)
-        walk.keep(0, root)
-        walk.descend(root, 0, prefix_depth - 1)
-
-    # The full tree down to the prefixes, so that every prefix is reached.
-    t0 = time.perf_counter()
-    level = root
-    for depth in range(prefix_depth):
-        walk.keep(depth, level)
-        level, _ = walk.expand(level)
-    level = level.take(np.arange(worker, len(level), worker_count))
-    level.tree = np.arange(len(level), dtype=np.int32)
-    walk.tally(prefix_depth, len(level), walk.winner(level), t0)
-    walk.keep(prefix_depth, level)
-    walk.descend(level, prefix_depth, max_length)
-    return walk.best, walk.visited, walk.scores, walk.seconds
+            share.tally(0, 0, (float(problem.score(root.re, root.im)[0]), ()), t0)
+        share.descend(root, 0, min(_PREFIX_DEPTH - 1, max_length))
+    if max_length >= _PREFIX_DEPTH:
+        # The full tree down to the prefixes, so that every prefix is reached.
+        t0 = time.perf_counter()
+        level = root
+        for _ in range(_PREFIX_DEPTH):
+            level = share.expand(level)[0]
+        level = level.take(np.arange(worker, len(level), worker_count))
+        level.tree = np.arange(len(level), dtype=np.int32)
+        share.tally(_PREFIX_DEPTH, len(level), share.winner(level), t0)
+        share.descend(level, _PREFIX_DEPTH, max_length)
+    return share.visited, share.winners, share.seconds
 
 
-def merge(outcomes) -> tuple:
+def merge(records) -> tuple:
     """The best word's letters by ``_rank`` and the ``synth.SearchStats``
-    rows, from the shares' ``worker_job`` outcomes in share order: each
-    depth's tallies are summed in share order, then accumulated over depths
-    from the empty word's score."""
-    bests, visited, scores, seconds = zip(*outcomes)
-    found = [best for best in bests if best is not None]
-    if not found:
-        raise RuntimeError("no candidate word reached the final arrangement")
-    letters = min(found, key=lambda best: _rank(*best))[1]
+    rows, from the shares' ``worker_job`` records in share order: each
+    depth's counts are summed in share order, and row L's best is the best
+    winner at depths <= L."""
+    visited, winners, seconds = zip(*records)
+    best = None
     rows = []
-    best = min(share[0] for share in scores)
     nodes = 0
-    for depth in range(1, len(scores[0])):
-        best = min(best, *(share[depth] for share in scores))
-        frontier = sum(share[depth] for share in visited)
-        nodes += frontier
-        rows.append((depth, best, nodes, frontier, sum(share[depth] for share in seconds)))
-    return letters, rows
+    for depth in range(len(visited[0])):
+        best = _best(best, *(share[depth] for share in winners))
+        if depth:
+            frontier = sum(share[depth] for share in visited)
+            nodes += frontier
+            rows.append((depth, float("inf") if best is None else best[0], nodes,
+                         frontier, sum(share[depth] for share in seconds)))
+    if best is None:
+        raise RuntimeError("no candidate word reached the final arrangement")
+    return best[1], rows
+
+
+def walk(problem, max_length: int, workers: int) -> tuple:
+    """Search ``problem``'s words up to ``max_length`` in one pass: the
+    best word's letters, the curve rows (see ``merge``) and the wall
+    seconds.  The prefixes are dealt to one share per usable CPU, at most
+    ``workers``, and the shares' records are merged in share order, so the
+    result does not depend on the share count."""
+    start = time.perf_counter()
+    cpus = _usable_cpus()[:workers]
+    job = partial(worker_job, problem, max_length, worker_count=len(cpus))
+    records = [job(0)] if len(cpus) == 1 else _run_shares(job, cpus)
+    letters, rows = merge(records)
+    return letters, rows, time.perf_counter() - start
+
+
+def _usable_cpus() -> list:
+    """The CPUs this process may run on, one search share each; a single
+    share where the platform cannot fork or pin."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
+        return [None]
+    return sorted(os.sched_getaffinity(0))
+
+
+def _run_shares(job, cpus: list) -> list:
+    """``job(share)`` for every share, in share order.  Share 0 runs on this
+    thread pinned to ``cpus[0]``; each other share runs in a forked child
+    pinned to its own CPU, which sends back its pickled outcome or
+    exception.  On every path the thread's CPU mask is restored and every
+    child is reaped."""
+    mask = os.sched_getaffinity(0)
+    children = []
+    try:
+        for share, cpu in enumerate(cpus[1:], 1):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _run_child(job, share, cpu, write)
+            os.close(write)
+            children.append((pid, read))
+        os.sched_setaffinity(0, {cpus[0]})
+        outcomes = [job(0)]
+        for share, (_, read) in enumerate(children, 1):
+            with os.fdopen(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise RuntimeError(f"search share {share} ended without a result")
+            outcome = pickle.loads(data)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            outcomes.append(outcome)
+        return outcomes
+    finally:
+        os.sched_setaffinity(0, mask)
+        for pid, read in children:
+            os.close(read)
+            # Stops a share still walking after an error; a child that has
+            # sent its outcome is leaving anyway.
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_child(job, share: int, cpu: int, write: int):
+    """A forked share's whole life: pin, walk, send, and leave without
+    running any of the parent's clean-up."""
+    try:
+        try:
+            os.sched_setaffinity(0, {cpu})
+            outcome = job(share)
+        except Exception as exc:
+            outcome = exc
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+    finally:
+        os._exit(0)

@@ -22,12 +22,7 @@ unitaries).  The score of a word is the worst rule deviation.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -98,11 +93,6 @@ class BraidWord:
             else:
                 out.append((int(pos), int(exp)))
         return cls(strand_count, tuple(out))
-
-    def concat(self, other: "BraidWord") -> "BraidWord":
-        if other.strand_count != self.strand_count:
-            raise ValueError("strand counts differ")
-        return BraidWord.reduced(self.strand_count, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
         return BraidWord(self.strand_count,
@@ -588,86 +578,20 @@ def _replay(problem: _Problem, letters: tuple) -> tuple:
                  for sector in problem.sectors)
 
 
-def _usable_cpus() -> list:
-    """The CPUs this process may run on, one search share each; a single
-    share where the platform cannot fork or pin."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
-        return [None]
-    return sorted(os.sched_getaffinity(0))
-
-
-def _run_shares(job, cpus: list) -> list:
-    """``job(share)`` for every share, in share order.  Share 0 runs on this
-    thread pinned to ``cpus[0]``; each other share runs in a forked child
-    pinned to its own CPU, which sends back its pickled outcome or
-    exception.  On every path the thread's CPU mask is restored and every
-    child is reaped."""
-    mask = os.sched_getaffinity(0)
-    children = []
-    try:
-        for share, cpu in enumerate(cpus[1:], 1):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _run_child(job, share, cpu, write)
-            os.close(write)
-            children.append((pid, read))
-        os.sched_setaffinity(0, {cpus[0]})
-        outcomes = [job(0)]
-        for share, (_, read) in enumerate(children, 1):
-            with os.fdopen(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            if not data:
-                raise RuntimeError(f"search share {share} ended without a result")
-            outcome = pickle.loads(data)
-            if isinstance(outcome, BaseException):
-                raise outcome
-            outcomes.append(outcome)
-        return outcomes
-    finally:
-        os.sched_setaffinity(0, mask)
-        for pid, read in children:
-            os.close(read)
-            # Stops a share still walking after an error; a child that has
-            # sent its outcome is leaving anyway.
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _run_child(job, share: int, cpu: int, write: int):
-    """A forked share's whole life: pin, walk, send, and leave without
-    running any of the parent's clean-up."""
-    try:
-        try:
-            os.sched_setaffinity(0, {cpu})
-            outcome = job(share)
-        except Exception as exc:
-            outcome = exc
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
-    finally:
-        os._exit(0)
-
-
 def search(model: AnyonModel, target: SynthesisTarget, max_length: int,
            tolerance: float = DEFAULT_TOLERANCE, workers: int = 1) -> SynthesisResult:
     """Exhaustive enumeration of words up to ``max_length``, in one pass.
 
-    Every share walks this call's ``_Problem``, so words are scored with
-    ``model``'s own symbols, damaged or not.  Deterministic regardless of
-    worker count: worker 0 walks the short words (the stub), the prefixes
+    ``_frontier.walk`` walks this call's ``_Problem``, so words are scored
+    with ``model``'s own symbols, damaged or not.  Deterministic regardless
+    of worker count: share 0 walks the short words (the stub), the prefixes
     at a fixed depth are dealt round-robin to one share per usable CPU, at
     most ``workers`` (share 0 in this thread, each other one in a forked
     child, each pinned to its own CPU; this thread's CPU mask is restored
-    afterwards), and ``_frontier.merge`` merges them by (score, length,
-    letters).  Without ``os.fork`` or ``os.sched_setaffinity`` there is one
-    share.  The best word is re-verified on the full fusion space; it
-    converged if its distance is <= ``tolerance``.
+    afterwards), and the shares' per-depth winners are merged by (score,
+    length, letters).  Without ``os.fork`` or ``os.sched_setaffinity``
+    there is one share.  The best word is re-verified on the full fusion
+    space; it converged if its distance is <= ``tolerance``.
     """
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
@@ -677,15 +601,11 @@ def search(model: AnyonModel, target: SynthesisTarget, max_length: int,
         raise ValueError("workers must be at least 1")
     problem = _Problem(model, target)  # refuses a misfit level or rule before any walk
     # Loaded on the first search, so commands that run none skip it.
-    from ._frontier import merge, worker_job
+    from ._frontier import walk
 
-    start = time.perf_counter()
-    cpus = _usable_cpus()[:workers]
-    job = partial(worker_job, problem, max_length, worker_count=len(cpus))
-    outcomes = [job(0)] if len(cpus) == 1 else _run_shares(job, cpus)
-    letters, rows = merge(outcomes)
-    stats = SearchStats(rows, time.perf_counter() - start)
-    return _finish(problem, tolerance, BraidWord(target.block_count, letters), stats)
+    letters, rows, seconds = walk(problem, max_length, workers)
+    return _finish(problem, tolerance, BraidWord(target.block_count, letters),
+                   SearchStats(rows, seconds))
 
 
 def score_braid(model: AnyonModel, target: SynthesisTarget,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from anyonforge import (
     AnyonModel,
+    BraidWord,
     ColumnRule,
     MatrixRule,
     PhaseRule,
@@ -20,6 +21,7 @@ from anyonforge import (
     make_target_B1,
     make_target_P,
     make_target_unitary,
+    score_braid,
     search,
     synth,
 )
@@ -52,12 +54,34 @@ def test_finish_goldens(key):
                    for field in ("distance", "leakage", "converged")}
 
 
-def test_rows_do_not_depend_on_the_length_limit(model3):
-    """Each depth is visited once, the same way whatever the limit."""
-    target = make_target_P(model3)
-    long = search(model3, target, 10).stats.rows
-    short = search(model3, target, 7).stats.rows
-    assert [row[:4] for row in long[:7]] == [row[:4] for row in short]
+# Every built-in target and NOT at k = 2, 3 and 5, but B1 at k = 2: its
+# aggregation channel (joined charge 2) does not occur in the Ising theory.
+@pytest.mark.parametrize("k, name", [(k, name) for k in (2, 3, 5)
+                                     for name in (*synth.BUILTIN_TARGETS, "NOT")
+                                     if (k, name) != (2, "B1")])
+def test_rows_do_not_depend_on_the_length_limit(k, name, monkeypatch):
+    """Each depth is visited once, the same way whatever the limit, the
+    stub's depths below the prefix depth included.  For every limit L' up
+    to 9, at one and two shares (run here, in share order), a search's rows
+    are the first L' rows of a search to 10, and its word and distance are
+    those of the best, by ``_rank``, of that walk's winners at depths <= L'."""
+    monkeypatch.setattr(_frontier, "_usable_cpus", lambda: [0, 1])
+    monkeypatch.setattr(_frontier, "_run_shares",
+                        lambda job, cpus: [job(share) for share in range(len(cpus))])
+    model = AnyonModel(k)
+    target = _target(model, name)
+    long = search(model, target, 10).stats.rows
+    _, winners, _ = _frontier.worker_job(synth._Problem(model, target), 10, 0, 1)
+    for length in range(1, 10):
+        score, letters = _frontier._best(*winners[:length + 1])
+        best = score_braid(model, target, BraidWord(target.block_count, letters))
+        for workers in (1, 2):
+            short = search(model, target, length, workers=workers)
+            assert [row[:4] for row in short.stats.rows] == \
+                [row[:4] for row in long[:length]], (length, workers)
+            assert repr(short.stats.rows[-1][1]) == repr(score), (length, workers)
+            assert short.braid == best.braid, (length, workers)
+            assert repr(short.distance) == repr(best.distance), (length, workers)
 
 
 def test_wall_time_and_busy_time(model3):
@@ -383,11 +407,9 @@ def test_walk_and_replay_share_letters(name):
     model.symbols = SymbolCache(3)
     problem = synth._Problem(model, _target(model, name))
     walk = _frontier._Walk(problem, 10)
-    root = walk.root()
-    walk.keep(0, root)
-    walk.descend(root, 0, 10)
+    walk.descend(walk.root(), 0, 10)
     built = len(model.symbols.steps)
-    synth._replay(problem, walk.best[1])
+    synth._replay(problem, _frontier._best(*walk.winners)[1])
     assert len(model.symbols.steps) == built
 
 
@@ -487,7 +509,7 @@ def _synthetic_level(rng, values, nodes=400) -> "_frontier._Level":
     index = np.zeros(nodes, dtype=np.int32)
     return _frontier._Level(rng.integers(3, size=nodes).astype(np.int32), index,
                             index, rng.integers(2, size=nodes).astype(np.int32),
-                            state[:4], state[4:])
+                            state[:4], state[4:], None)
 
 
 _SYNTHETIC_VALUES = {

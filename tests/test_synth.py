@@ -60,7 +60,7 @@ def test_braid_word_reduction_and_inverse():
     reduced = BraidWord.reduced(4, ((1, 1), (2, 1), (2, -1), (1, 1)))
     assert reduced.letters == ((1, 1), (1, 1))
     word = BraidWord(4, ((1, 1), (2, 1)))
-    assert word.concat(word.inverse()).letters == ()
+    assert BraidWord.reduced(4, word.letters + word.inverse().letters).letters == ()
     assert word.inverse().letters == ((2, -1), (1, -1))
     assert word.permutation() == (1, 2, 0, 3)
 
@@ -75,7 +75,7 @@ def test_free_reduction_is_stable(letters):
     # reducing again changes nothing
     assert BraidWord.reduced(4, word.letters).letters == word.letters
     # a word followed by its inverse always cancels completely
-    assert word.concat(word.inverse()).letters == ()
+    assert BraidWord.reduced(4, word.letters + word.inverse().letters).letters == ()
 
 
 @settings(max_examples=50, deadline=None)
@@ -137,14 +137,14 @@ def test_evaluate_is_homomorphism(model3):
     U1, leaves1, g1 = evaluate_tracked(model3, basis, w1)
     basis_mid = enumerate_basis(model3, leaves1, 0)
     U2 = evaluate(model3, basis_mid, w2, g1)
-    joint = evaluate(model3, basis, w1.concat(w2))
+    joint = evaluate(model3, basis, BraidWord.reduced(6, w1.letters + w2.letters))
     assert np.allclose(U2 @ U1, joint, atol=1e-12)
 
 
 def test_evaluate_inverse_word(model3):
     basis = enumerate_basis(model3, (1,) * 6, 0)
     word = BraidWord(6, ((1, 1), (2, 1), (3, -1), (2, 1)))
-    U = evaluate(model3, basis, word.concat(word.inverse()))
+    U = evaluate(model3, basis, BraidWord.reduced(6, word.letters + word.inverse().letters))
     assert np.allclose(U, np.eye(basis.dim), atol=1e-12)
 
 
@@ -386,8 +386,8 @@ def inline_shares(monkeypatch):
         runs.append(cpus)
         return [job(share) for share in range(len(cpus))]
 
-    monkeypatch.setattr(synth, "_run_shares", run_inline)
-    monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(_frontier, "_run_shares", run_inline)
+    monkeypatch.setattr(_frontier.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     return runs
 
 
@@ -410,7 +410,7 @@ def test_worker_pool_is_capped_at_cpu_count(model3, monkeypatch, inline_shares):
         assert many.braid == one.braid
         assert repr(many.distance) == repr(one.distance)
         assert _strip(many.stats.rows) == _strip(one.stats.rows)
-    monkeypatch.delattr(synth.os, "sched_setaffinity")
+    monkeypatch.delattr(_frontier.os, "sched_setaffinity")
     search(model3, target, length, workers=4)
     assert runs == []
 
@@ -439,7 +439,7 @@ def test_shares_without_prefixes(model3, monkeypatch, inline_shares, name):
     levels, and the result is still the one share's word, distance and
     rows."""
     runs = inline_shares
-    monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: set(range(40)))
+    monkeypatch.setattr(_frontier.os, "sched_getaffinity", lambda pid: set(range(40)))
     if name == "NOT":
         target = make_target_unitary(model3, X, name="NOT")
     else:
@@ -475,9 +475,9 @@ def test_shares_follow_the_usable_cpus(model3, monkeypatch):
     shares, forked for real, and pins this thread to the first CPU until
     the walk is done; word, distance and rows equal one share's."""
     pins = []
-    monkeypatch.setattr(synth.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: {7, 3, 5})
-    monkeypatch.setattr(synth.os, "sched_setaffinity", lambda pid, cpus: pins.append(cpus))
+    monkeypatch.setattr(_frontier.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(_frontier.os, "sched_getaffinity", lambda pid: {7, 3, 5})
+    monkeypatch.setattr(_frontier.os, "sched_setaffinity", lambda pid, cpus: pins.append(cpus))
     counts = _counting_shares(monkeypatch)
     target = make_target_P(model3)
     one = search(model3, target, 8)
@@ -495,7 +495,7 @@ def two_shares(monkeypatch):
     where it may use only one).  Returns the caller's CPU mask."""
     mask = os.sched_getaffinity(0)
     cpus = sorted(mask) * 2
-    monkeypatch.setattr(synth, "_usable_cpus", lambda: cpus[:2])
+    monkeypatch.setattr(_frontier, "_usable_cpus", lambda: cpus[:2])
     return mask
 
 
